@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .generators_gl import Generator, build_generators, descriptor_to_json, eval_generator
@@ -52,17 +51,6 @@ def _emit(line_obj, out_lines: list[str]):
     text = json.dumps(line_obj, sort_keys=True, separators=(",", ":"))
     out_lines.append(text)
     sys.stdout.write(text + "\n")
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("PARINV_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError(f"PARINV_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise UsageError("PARINV_THREADS must be >= 1")
-    return cap
 
 
 def _cmd_describe(args) -> int:
@@ -253,7 +241,6 @@ def main(argv=None) -> int:
         "selftest": _cmd_selftest,
     }
     try:
-        _thread_cap()
         return commands[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,9 @@ from fractions import Fraction
 from .linalg import (
     DualMatrix,
     DualScalar,
+    Field,
     Matrix,
+    QQ,
     adjugate,
     det,
     dual_adjugate,
@@ -88,12 +90,13 @@ def build_generators(shape: FlagShape) -> tuple[Generator, ...]:
     return tuple(out)
 
 
-def stacked_matrix(recipe: StackedRecipe, top: Matrix, bottom: Matrix) -> Matrix:
+def stacked_matrix(recipe: StackedRecipe, top, bottom, field: Field = QQ):
     """Assemble the recipe's rows from two sources, columns restricted."""
     cols0 = [c - 1 for c in recipe.cols]
-    rows = [[top.rows[r - 1][c] for c in cols0] for r in recipe.x_rows]
-    rows += [[bottom.rows[r - 1][c] for c in cols0] for r in recipe.adj_rows]
-    return Matrix(rows)
+    top, bottom = field.rows(top), field.rows(bottom)
+    rows = [[top[r - 1][c] for c in cols0] for r in recipe.x_rows]
+    rows += [[bottom[r - 1][c] for c in cols0] for r in recipe.adj_rows]
+    return field.matrix(rows)
 
 
 def eval_generator(gen: Generator, point: Matrix, adj: Matrix | None = None) -> Fraction:

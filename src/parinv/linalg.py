@@ -8,13 +8,26 @@ cofactors so singular input is handled uniformly.
 
 First derivatives of polynomial matrix functions are exact via degree-1
 dual numbers: ``det(X + eps*B) = det(X) + eps * trace(adj(X) @ B)``.
+
+Ranks are certified modulo the fixed prime P = 2^61 - 1.  Reducing a
+rational matrix mod P (possible when no denominator is divisible by P)
+maps every minor to its residue, so rank mod P <= rank over Q.  A residue
+rank is therefore accepted only when it meets a proven upper bound on the
+rational rank: min(rows, cols), or, for the orthogonal/symplectic tangent
+Jacobian, rows(J) + the exact rank of the central ratio rows.  In every
+other case -- a smaller residue rank, a denominator or pivot that is not
+invertible mod P -- the exact rational rank decides.  P is a constant,
+not a random draw, so every report stays deterministic.  ``QQ`` and
+``GF_P`` bundle the operations that field-generic code (the tangent
+Jacobian build) needs over each field.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 
 class DimensionError(ValueError):
@@ -113,8 +126,11 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise DimensionError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        cols = list(zip(*other.rows)) if other.rows else []
-        return Matrix([[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows])
+        # only the nonzero entries of other are multiplied: Lie basis elements,
+        # matrix units and unipotent factors are mostly zero
+        cols = [[(k, b) for k, b in enumerate(col) if b] for col in zip(*other.rows)]
+        zero = Fraction(0)
+        return Matrix([[sum((row[k] * b for k, b in col), zero) for col in cols] for row in self.rows])
 
     def transpose(self) -> "Matrix":
         if not self.rows:
@@ -249,7 +265,13 @@ def _reduced_echelon(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank over the rationals."""
+    """Exact rank over the rationals; a full residue rank mod P certifies it."""
+    bound = min(m.nrows, m.ncols)
+    try:
+        if rank_mod_p(reduce_mod_p(m)) == bound:
+            return bound
+    except ZeroDivisionError:
+        pass  # a denominator divisible by P: no certificate
     return len(_reduced_echelon(m)[1])
 
 
@@ -294,6 +316,172 @@ def trace_product(a: Matrix, b: Matrix) -> Fraction:
         (a.rows[i][k] * b.rows[k][i] for i in range(a.nrows) for k in range(a.ncols)),
         Fraction(0),
     )
+
+
+P = (1 << 61) - 1  # the Mersenne prime of every residue certificate
+
+Residues = list[list[int]]  # a matrix mod P: rows of ints in [0, P)
+
+
+def reduce_mod_p(m: Matrix) -> Residues:
+    """Entries of m mod P; ZeroDivisionError if a denominator is divisible by P."""
+    inverses: dict[int, int] = {}
+    out = []
+    for row in m.rows:
+        out_row = []
+        for x in row:
+            den = x.denominator
+            if den == 1:
+                out_row.append(x.numerator % P)
+                continue
+            inv = inverses.get(den)
+            if inv is None:
+                if den % P == 0:
+                    raise ZeroDivisionError("denominator divisible by P")
+                inv = inverses[den] = pow(den, -1, P)
+            out_row.append(x.numerator * inv % P)
+        out.append(out_row)
+    return out
+
+
+def rank_mod_p(a: Residues) -> int:
+    """Rank over GF(P) by forward elimination (a lower bound for the rank over Q)."""
+    rows = [list(row) for row in a if any(row)]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pivot = rows[r]
+        inv = pow(pivot[c], -1, P)
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                f = f * inv % P
+                rows[i] = [(x - f * y) % P for x, y in zip(rows[i], pivot)]
+        r += 1
+        if r == len(rows):
+            break
+    return r
+
+
+def _det_inverse_mod_p(a: Residues) -> tuple[int, Residues | None]:
+    """(det a, a^-1) over GF(P) by Gauss-Jordan; the inverse is None when det is 0."""
+    n = len(a)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    d = 1
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot_row is None:
+            return 0, None
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            d = -d
+        d = d * m[c][c] % P
+        inv = pow(m[c][c], -1, P)
+        m[c] = [x * inv % P for x in m[c]]
+        for i in range(n):
+            f = m[i][c]
+            if i != c and f:
+                m[i] = [(x - f * y) % P for x, y in zip(m[i], m[c])]
+    return d % P, [row[n:] for row in m]
+
+
+def det_mod_p(a: Residues) -> int:
+    """Determinant over GF(P)."""
+    return _det_inverse_mod_p(a)[0]
+
+
+def inverse_mod_p(a: Residues) -> Residues:
+    """Inverse over GF(P); SingularMatrixError if a is singular mod P."""
+    inv = _det_inverse_mod_p(a)[1]
+    if inv is None:
+        raise SingularMatrixError("matrix is singular mod P")
+    return inv
+
+
+def adjugate_mod_p(a: Residues) -> Residues:
+    """Adjugate over GF(P): det * inverse, or signed cofactors when singular mod P."""
+    d, inv = _det_inverse_mod_p(a)
+    if inv is not None:
+        return [[d * x % P for x in row] for row in inv]
+    n = len(a)
+    return [
+        [
+            (-1) ** (r + c)
+            * det_mod_p([row[:r] + row[r + 1:] for k, row in enumerate(a) if k != c])
+            % P
+            for c in range(n)
+        ]
+        for r in range(n)
+    ]
+
+
+def _matmul_mod_p(a: Residues, b: Residues) -> Residues:
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) % P for col in cols] for row in a]
+
+
+def _trace_product_mod_p(a: Residues, b: Residues) -> int:
+    return sum(sum(map(operator.mul, row, col)) for row, col in zip(a, zip(*b))) % P
+
+
+def _div_mod_p(x: int, y: int) -> int:
+    if y % P == 0:
+        raise ZeroDivisionError("division by a multiple of P")
+    return x * pow(y, -1, P) % P
+
+
+class Field(NamedTuple):
+    """Matrix and scalar operations over one field, for field-generic code.
+
+    Over ``QQ`` matrices are ``Matrix`` objects; over ``GF_P`` they are
+    ``Residues``.  Over ``GF_P`` every division by a residue 0 raises
+    ZeroDivisionError, which callers read as "no certificate".
+    """
+
+    reduce: Callable  # Matrix -> matrix of this field
+    rows: Callable  # matrix -> its rows
+    matrix: Callable  # rows -> matrix
+    det: Callable
+    inverse: Callable
+    adjugate: Callable
+    matmul: Callable
+    trace_product: Callable
+    scale: Callable  # (matrix, scalar) -> matrix
+    sub: Callable  # (matrix, matrix) -> matrix
+    div: Callable  # (scalar, scalar) -> scalar
+
+
+# kernel names are looked up at call time, so rebinding them (to time
+# them, say) reaches field-generic code too
+QQ = Field(
+    reduce=lambda m: m,
+    rows=lambda a: a.rows,
+    matrix=Matrix,
+    det=lambda a: det(a),
+    inverse=lambda a: inverse(a),
+    adjugate=lambda a: adjugate(a),
+    matmul=lambda a, b: a @ b,
+    trace_product=lambda a, b: trace_product(a, b),
+    scale=lambda a, s: a * s,
+    sub=lambda a, b: a - b,
+    div=lambda x, y: x / y,
+)
+GF_P = Field(
+    reduce=lambda m: reduce_mod_p(m),
+    rows=lambda a: a,
+    matrix=lambda rows: rows,
+    det=lambda a: det_mod_p(a),
+    inverse=lambda a: inverse_mod_p(a),
+    adjugate=lambda a: adjugate_mod_p(a),
+    matmul=_matmul_mod_p,
+    trace_product=_trace_product_mod_p,
+    scale=lambda a, s: [[x * s % P for x in row] for row in a],
+    sub=lambda a, b: [[(x - y) % P for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)],
+    div=_div_mod_p,
+)
 
 
 @dataclass(frozen=True)

@@ -27,16 +27,17 @@ from .generators_gl import (
 )
 from .generators_osp import build_osp_system
 from .linalg import (
-    DualMatrix,
+    GF_P,
+    QQ,
+    Field,
     Matrix,
     adjugate,
     det,
-    dual_adjugate,
     inverse,
     matrix_to_json,
     minor,
     rank,
-    trace_product,
+    rank_mod_p,
 )
 from .sampling import (
     Rng,
@@ -320,7 +321,8 @@ def _distinct_indices(rng: Rng, count: int, n: int) -> list[int]:
 
 def check_monomial_restriction(shape: FlagShape, seed: int, points: int, bound: int) -> CheckResult:
     """On the flattened slice every upper generator is its signed chain monomial."""
-    gens0 = [g for g in build_generators(shape) if g.pair in index_set(shape).sigma0]
+    sigma0 = set(index_set(shape).sigma0)
+    gens0 = [g for g in build_generators(shape) if g.pair in sigma0]
     counterexample = None
     for t in range(points):
         rng = Rng(seed, _stream(_S_MONOMIAL, t))
@@ -422,16 +424,39 @@ def check_slice_support(shape: FlagShape, seed: int, samples: int, bound: int) -
     return CheckResult("slice_support", not problems, details)
 
 
+def _certified_rank(build) -> int:
+    """Rank over Q of the matrix ``build(field)`` builds.
+
+    The residue rank decides when it reaches min(rows, cols); otherwise, or
+    when the build hits a residue it cannot divide by, the exact build does.
+    """
+    try:
+        residues = build(GF_P)
+        bound = min(len(residues), len(residues[0]) if residues else 0)
+        r = rank_mod_p(residues)
+        del residues  # never hold a residue and an exact matrix at once
+        if r == bound:
+            return r
+    except ZeroDivisionError:
+        pass
+    return rank(build(QQ))
+
+
 def orbit_dimension(shape: FlagShape, point: Matrix) -> int:
     """Exact rank of A -> point @ A - A @ point over the radical basis."""
     basis = lie_algebra_basis(shape, "radical")
     if not basis:
         return 0
-    rows = []
-    for a in basis:
-        diff = point @ a - a @ point
-        rows.append([x for row in diff.rows for x in row])
-    return rank(Matrix(rows))
+
+    def commutator_rows(f: Field):
+        x = f.reduce(point)
+        rows = []
+        for a in map(f.reduce, basis):
+            diff = f.rows(f.sub(f.matmul(x, a), f.matmul(a, x)))
+            rows.append([v for row in diff for v in row])
+        return f.matrix(rows)
+
+    return _certified_rank(commutator_rows)
 
 
 def check_orbit_dimension(shape: FlagShape, seed: int, bound: int, points: int = 3) -> CheckResult:
@@ -472,78 +497,113 @@ def check_count_identity(shape: FlagShape, generic_orbit: int) -> CheckResult:
     return CheckResult("count_identity", not problems, details)
 
 
+def _submatrix(f: Field, a, recipe: MinorRecipe):
+    rows = f.rows(a)
+    return f.matrix([[rows[r - 1][c - 1] for c in recipe.cols] for r in recipe.rows])
+
+
 def directional_jacobian(
-    gens: tuple[Generator, ...], point: Matrix, directions: list[Matrix]
-) -> Matrix:
-    """Exact matrix of directional derivatives, generators by directions."""
-    adj_x = adjugate(point)
-    d = det(point)
-    x_inv = adj_x * (1 / d) if d != 0 else None
+    gens: tuple[Generator, ...], point, directions: list, field: Field = QQ
+):
+    """Matrix of directional derivatives, generators by directions, over ``field``.
+
+    ``point`` and ``directions`` are matrices of that field; the point must
+    be invertible there when a generator is stacked.
+    """
+    f = field
+    if any(isinstance(g.recipe, StackedRecipe) for g in gens):
+        x_inv = f.inverse(point)
+        adj_x = f.scale(x_inv, f.det(point))
     prepared = []
     for g in gens:
         recipe = g.recipe
         if isinstance(recipe, MinorRecipe):
-            sub = point.submatrix([r - 1 for r in recipe.rows], [c - 1 for c in recipe.cols])
-            prepared.append(("minor", recipe, adjugate(sub)))
+            prepared.append(f.adjugate(_submatrix(f, point, recipe)))
         elif isinstance(recipe, StackedRecipe):
-            prepared.append(("stacked", recipe, adjugate(stacked_matrix(recipe, point, adj_x))))
+            prepared.append(f.adjugate(stacked_matrix(recipe, point, adj_x, f)))
         else:
-            num, den = recipe.numerator, recipe.denominator
-            num_sub = point.submatrix([r - 1 for r in num.rows], [c - 1 for c in num.cols])
-            den_sub = point.submatrix([r - 1 for r in den.rows], [c - 1 for c in den.cols])
-            den_val = det(den_sub)
+            num_sub = _submatrix(f, point, recipe.numerator)
+            den_sub = _submatrix(f, point, recipe.denominator)
+            den_val = f.det(den_sub)
             if den_val == 0:
                 raise ZeroDivisionError("ratio generator undefined at this point")
-            prepared.append(
-                ("ratio", recipe, (adjugate(num_sub), det(num_sub), adjugate(den_sub), den_val))
-            )
-    rows: list[list[Fraction]] = [[] for _ in gens]
+            prepared.append((f.adjugate(num_sub), f.det(num_sub), f.adjugate(den_sub), den_val))
+    rows: list[list] = [[] for _ in gens]
     for b in directions:
-        if x_inv is not None:
-            d_adj = x_inv * trace_product(adj_x, b) - (adj_x @ b) @ x_inv
-        else:
-            d_adj = dual_adjugate(DualMatrix(point, b)).deriv
-        for gi, (tag, recipe, prep) in enumerate(prepared):
-            if tag == "minor":
-                b_sub = b.submatrix([r - 1 for r in recipe.rows], [c - 1 for c in recipe.cols])
-                rows[gi].append(trace_product(prep, b_sub))
-            elif tag == "stacked":
-                rows[gi].append(trace_product(prep, stacked_matrix(recipe, b, d_adj)))
+        d_adj = None
+        for g, prep, row in zip(gens, prepared, rows):
+            recipe = g.recipe
+            if isinstance(recipe, MinorRecipe):
+                row.append(f.trace_product(prep, _submatrix(f, b, recipe)))
+            elif isinstance(recipe, StackedRecipe):
+                if d_adj is None:  # d adj(X)[B] = tr(adj(X) B) X^-1 - adj(X) B X^-1
+                    d_adj = f.sub(
+                        f.scale(x_inv, f.trace_product(adj_x, b)),
+                        f.matmul(f.matmul(adj_x, b), x_inv),
+                    )
+                row.append(f.trace_product(prep, stacked_matrix(recipe, b, d_adj, f)))
             else:
                 adj_num, num_val, adj_den, den_val = prep
-                num, den = recipe.numerator, recipe.denominator
-                d_num = trace_product(
-                    adj_num, b.submatrix([r - 1 for r in num.rows], [c - 1 for c in num.cols])
-                )
-                d_den = trace_product(
-                    adj_den, b.submatrix([r - 1 for r in den.rows], [c - 1 for c in den.cols])
-                )
-                rows[gi].append((d_num * den_val - num_val * d_den) / (den_val * den_val))
-    return Matrix(rows)
+                d_num = f.trace_product(adj_num, _submatrix(f, b, recipe.numerator))
+                d_den = f.trace_product(adj_den, _submatrix(f, b, recipe.denominator))
+                row.append(f.div(d_num * den_val - num_val * d_den, den_val * den_val))
+    return f.matrix(rows)
+
+
+def _tangent_jacobian(shape: FlagShape, gens: tuple[Generator, ...], point: Matrix, f: Field):
+    """Jacobian of gens on the group's tangent space at the point, over f.
+
+    General linear kinds take the coordinate directions E_ij; the others
+    the left-translated Lie algebra basis point @ A.
+    """
+    n = shape.n
+    x = f.reduce(point)
+    if shape.kind is GroupKind.GL:
+        units = (Matrix.unit(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1))
+        directions = [f.reduce(u) for u in units]
+    else:
+        directions = [f.matmul(x, f.reduce(a)) for a in lie_algebra_basis(shape, "group")]
+    return directional_jacobian(gens, x, directions, f)
 
 
 def independence_rank(shape: FlagShape, point: Matrix) -> dict:
-    """Exact Jacobian rank of the generator system on the tangent space at the point."""
-    n = shape.n
-    if shape.kind is GroupKind.GL:
+    """Exact Jacobian rank of the generator system on the tangent space at the point.
+
+    Residue ranks decide only where they meet a proven upper bound (see
+    ``parinv.linalg``); the central ratio rows of the orthogonal/symplectic
+    kinds, whose expected rank is below their count, are ranked exactly.
+    """
+    if shape.kind in (GroupKind.GL, GroupKind.SL):
         gens = build_generators(shape)
-        directions = [Matrix.unit(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-        return {"rank": rank(directional_jacobian(gens, point, directions)), "expected": len(gens)}
-    if shape.kind is GroupKind.SL:
-        gens = build_generators(shape)
-        directions = [point @ a for a in lie_algebra_basis(shape, "group")]
-        return {"rank": rank(directional_jacobian(gens, point, directions)), "expected": len(gens)}
+        return {
+            "rank": _certified_rank(lambda f: _tangent_jacobian(shape, gens, point, f)),
+            "expected": len(gens),
+        }
     system = build_osp_system(shape)
-    directions = [point @ a for a in lie_algebra_basis(shape, "group")]
-    combined = system.j_circ + system.p_ratios
-    jac = directional_jacobian(combined, point, directions)
-    gamma_rows = jac.rows[len(system.j_circ):]
-    gamma_rank = rank(Matrix(gamma_rows)) if gamma_rows else 0
+    j_gens, ratios = system.j_circ, system.p_ratios
+    gamma = _tangent_jacobian(shape, ratios, point, QQ) if ratios else None
+    gamma_rank = rank(gamma) if ratios else 0
+    j_rank = combined_rank = None
+    try:
+        jac = _tangent_jacobian(shape, j_gens + ratios, point, GF_P)
+        if rank_mod_p(jac[: len(j_gens)]) == len(j_gens):
+            j_rank = len(j_gens)
+            # rank(J; Gamma) <= rows(J) + rank(Gamma), and residue ranks are lower bounds
+            if rank_mod_p(jac) == len(j_gens) + gamma_rank:
+                combined_rank = len(j_gens) + gamma_rank
+        del jac
+    except ZeroDivisionError:
+        pass
+    if combined_rank is None:
+        j_jac = _tangent_jacobian(shape, j_gens, point, QQ)
+        if j_rank is None:
+            j_rank = rank(j_jac)
+        combined_rank = rank(Matrix(j_jac.rows + (gamma.rows if ratios else ())))
     return {
-        "rank": rank(jac),
-        "expected": len(system.j_circ) + dim_g0(shape),
-        "j_rank": rank(Matrix(jac.rows[: len(system.j_circ)])) if system.j_circ else 0,
-        "j_expected": len(system.j_circ),
+        "rank": combined_rank,
+        "expected": len(j_gens) + dim_g0(shape),
+        "j_rank": j_rank,
+        "j_expected": len(j_gens),
         "gamma0_rank": gamma_rank,
         "gamma0_expected": dim_g0(shape),
     }

@@ -189,15 +189,6 @@ def test_slice_scirc_rejected_for_gl(capsys):
     assert code == 2
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("PARINV_THREADS", "zero")
-    code, _, err = run_cli(capsys, "describe", "--group", "gl", "--n", "2", "--parts", "2")
-    assert code == 2
-    monkeypatch.setenv("PARINV_THREADS", "4")
-    code, _, _ = run_cli(capsys, "describe", "--group", "gl", "--n", "2", "--parts", "2")
-    assert code == 0
-
-
 def test_unknown_flag_is_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["describe", "--group", "gl", "--n", "2", "--parts", "2", "--frobnicate"])

@@ -3,23 +3,30 @@ from fractions import Fraction
 import pytest
 
 from parinv.linalg import (
+    GF_P,
+    P,
     DimensionError,
     DualMatrix,
     DualScalar,
     Matrix,
     SingularMatrixError,
     adjugate,
+    adjugate_mod_p,
     det,
+    det_mod_p,
     dual_adjugate,
     dual_det,
     dual_minor,
     inverse,
+    inverse_mod_p,
     matrix_from_json,
     matrix_to_json,
     minor,
     nullspace_basis,
     partial_derivative,
     rank,
+    rank_mod_p,
+    reduce_mod_p,
 )
 from parinv.sampling import Rng
 
@@ -179,11 +186,61 @@ def test_rank_proportional_rows():
 
 def test_rank_matches_enumeration_oracle_and_transpose():
     rng = Rng(15)
-    for _ in range(15):
-        m = Matrix([[rng.randint(-2, 2) for _ in range(4)] for _ in range(3)])
+    for k in range(30):
+        # every other matrix has entries that are multiples of P, which vanish mod P
+        m = Matrix([
+            [rng.randint(-2, 2) * (P if k % 2 and rng.randint(0, 1) else 1) for _ in range(4)]
+            for _ in range(3)
+        ])
         r = rank(m)
         assert r == rank_cofactor(m)
         assert r == rank(m.transpose())
+
+
+def test_rank_falls_back_when_residue_rank_is_short():
+    m = Matrix([[P, 0], [0, 1]])
+    assert rank_mod_p(reduce_mod_p(m)) == 1
+    assert rank(m) == 2
+
+
+def test_rank_without_residue_certificate():
+    m = Matrix([[Fraction(1, P), 1], [1, 1]])
+    with pytest.raises(ZeroDivisionError):
+        reduce_mod_p(m)
+    assert rank(m) == 2
+    assert rank(Matrix([[Fraction(1, P), Fraction(2, P)], [1, 2]])) == 1
+
+
+def test_residue_division_by_a_multiple_of_p_is_refused():
+    assert GF_P.div(3, 2) * 2 % P == 3
+    with pytest.raises(ZeroDivisionError):
+        GF_P.div(1, 2 * P)
+
+
+def test_residue_kernel_matches_reduced_exact_results():
+    rng = Rng(21)
+    singular_seen = 0
+    for k in range(24):
+        n = rng.randint(1, 5)
+        m = Matrix([
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)
+        ])
+        if k % 4 == 0 and n > 1:  # rank at most n - 1, or n - 2
+            rows = [list(r) for r in m.rows]
+            rows[-1] = list(rows[0]) if k % 8 else [0] * n
+            m = Matrix(rows)
+        a = reduce_mod_p(m)
+        d = det(m)
+        singular_seen += d == 0
+        assert det_mod_p(a) == reduce_mod_p(Matrix([[d]]))[0][0]
+        assert adjugate_mod_p(a) == reduce_mod_p(adjugate(m))
+        assert rank_mod_p(a) == rank(m)
+        if d != 0:
+            assert inverse_mod_p(a) == reduce_mod_p(inverse(m))
+        else:
+            with pytest.raises(SingularMatrixError):
+                inverse_mod_p(a)
+    assert singular_seen > 0
 
 
 def test_nullspace_vectors_are_in_kernel():

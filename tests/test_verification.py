@@ -1,5 +1,9 @@
 import json
 
+import pytest
+
+from parinv import linalg, verification
+from parinv.cli import ACCEPTANCE_SHAPES
 from parinv.generators_gl import Generator, MinorRecipe
 from parinv.linalg import Matrix
 from parinv.sampling import Rng, sample_group_point
@@ -30,9 +34,88 @@ SP4 = make_shape("sp", 4, (1, 2, 1))
 O5 = make_shape("o", 5, (1, 3, 1))
 
 
-def test_orbit_dimension_identity_is_fixed_point():
+def _spy_exact_rank(monkeypatch) -> list[tuple[int, int]]:
+    """Record the shape of every matrix that verification ranks over Q."""
+    calls = []
+    real = verification.rank
+
+    def spy(m):
+        calls.append((m.nrows, m.ncols))
+        return real(m)
+
+    monkeypatch.setattr(verification, "rank", spy)
+    return calls
+
+
+def _no_residues(m):
+    raise ZeroDivisionError("residue certificates disabled")
+
+
+def test_orbit_dimension_identity_is_fixed_point(monkeypatch):
+    exact = _spy_exact_rank(monkeypatch)
     assert orbit_dimension(GL5, Matrix.identity(5)) == 0
     assert orbit_dimension(SP4, Matrix.identity(4)) == 0
+    # a zero residue rank certifies nothing: both went to the exact rank
+    assert exact == [(8, 25), (3, 16)]
+
+
+def test_independence_rank_at_identity_is_exact(monkeypatch):
+    # the identity is not generic: the Jacobians drop rank, so no residue
+    # rank meets its bound and the exact ranks decide
+    exact = _spy_exact_rank(monkeypatch)
+    assert independence_rank(GL5, Matrix.identity(5)) == {"rank": 3, "expected": 17}
+    assert independence_rank(make_shape("sp", 4, (2, 2)), Matrix.identity(4)) == {
+        "rank": 2, "expected": 7, "j_rank": 2, "j_expected": 7,
+        "gamma0_rank": 0, "gamma0_expected": 0,
+    }
+    assert exact == [(17, 25), (7, 10), (7, 10)]
+
+
+def test_certified_rank_falls_back_below_the_bound():
+    m = Matrix([[linalg.P, 0], [0, 1]])  # rank 1 mod P, rank 2 over Q
+    assert verification._certified_rank(lambda f: f.reduce(m)) == 2
+
+
+def _generic_point(shape, seed=21):
+    for t in range(20):
+        x = sample_group_point(shape, Rng(seed, t), 10).matrix
+        if verification._in_generic_position(shape, x):
+            return x
+    raise AssertionError("no generic point found")
+
+
+@pytest.mark.parametrize("kind,n,parts", ACCEPTANCE_SHAPES)
+def test_certified_ranks_equal_exact_only_ranks(kind, n, parts, monkeypatch):
+    shape = make_shape(kind, n, parts)
+    x = _generic_point(shape)
+    certified = independence_rank(shape, x), orbit_dimension(shape, x)
+    # with reduction mod P refused, every rank is the exact rational one
+    monkeypatch.setattr(linalg, "reduce_mod_p", _no_residues)
+    assert (independence_rank(shape, x), orbit_dimension(shape, x)) == certified
+
+
+def test_osp_combined_rank_certified_by_exact_gamma_rank(monkeypatch):
+    x = _generic_point(SP4)
+    exact = _spy_exact_rank(monkeypatch)
+    r = independence_rank(SP4, x)
+    # four central ratio rows of rank 3: only they were ranked over Q, and
+    # rank(J; Gamma) = rows(J) + rank(Gamma) came from the residue rank
+    assert exact == [(4, 10)]
+    assert r == {
+        "rank": 7, "expected": 7, "j_rank": 4, "j_expected": 4,
+        "gamma0_rank": 3, "gamma0_expected": 3,
+    }
+
+
+def test_osp_combined_rank_below_the_bound_is_exact(monkeypatch):
+    # O(6) (2,2,2): the central ratio collapses into the J-field, so the
+    # residue rank misses rows(J) + rank(Gamma) and the exact rank decides
+    shape = make_shape("o", 6, (2, 2, 2))
+    x = _generic_point(shape)
+    exact = _spy_exact_rank(monkeypatch)
+    r = independence_rank(shape, x)
+    assert exact == [(4, 15), (13, 15)]
+    assert (r["rank"], r["j_rank"], r["gamma0_rank"]) == (9, 9, 1)
 
 
 def test_orbit_dimension_generic_values():
