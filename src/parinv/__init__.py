@@ -1,76 +1,4 @@
 """Exact construction and machine verification of conjugation invariants
 for unipotent radicals of parabolic subgroups of the classical groups."""
 
-from .linalg import (
-    DimensionError,
-    DualMatrix,
-    DualScalar,
-    Matrix,
-    SingularMatrixError,
-    adjugate,
-    det,
-    dual_adjugate,
-    dual_det,
-    dual_minor,
-    inverse,
-    matrix_from_json,
-    matrix_to_json,
-    minor,
-    nullspace_basis,
-    partial_derivative,
-    rank,
-)
-from .shapes import (
-    FlagShape,
-    GeneratorIndexSet,
-    GroupKind,
-    IndexPair,
-    ShapeError,
-    dim_g0,
-    dim_group,
-    dim_unipotent_radical,
-    index_set,
-    make_shape,
-    mirror,
-)
-from .sampling import (
-    GroupMembershipError,
-    GroupPoint,
-    InternalConsistencyError,
-    Rng,
-    SamplingError,
-    cayley,
-    defining_equation_holds,
-    form_matrix,
-    lie_algebra_basis,
-    resolve_slice_sign,
-    sample_group_point,
-    sample_slice,
-    sample_unipotent_radical,
-)
-from .generators_gl import (
-    Generator,
-    MinorRecipe,
-    RatioRecipe,
-    RatioUndefinedError,
-    StackedRecipe,
-    build_generators,
-    descriptor_to_json,
-    eval_all,
-    eval_generator,
-    eval_generator_dual,
-    nonvanishing_witness,
-    s0_monomial_sign,
-    s0_monomial_value,
-)
-from .generators_osp import OspEvaluation, OspGeneratorSystem, build_osp_system, eval_osp
-from .verification import (
-    CheckResult,
-    VerificationReport,
-    check_invariance,
-    independence_rank,
-    orbit_dimension,
-    run_suite,
-)
-
 __version__ = "0.1.0"

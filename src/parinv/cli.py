@@ -8,9 +8,9 @@ import argparse
 import json
 import sys
 
-from .generators_gl import Generator, build_generators, descriptor_to_json, eval_generator
-from .generators_osp import build_osp_system, eval_osp
-from .linalg import adjugate, matrix_from_json, matrix_to_json
+from .generators_gl import Generator, descriptor_to_json
+from .generators_osp import build_system, eval_family
+from .linalg import matrix_from_json, matrix_to_json
 from .sampling import GroupPoint, GroupMembershipError, Rng, defining_equation_holds, sample_group_point, sample_slice, sample_unipotent_radical
 from .shapes import FlagShape, GroupKind, ShapeError, dim_unipotent_radical, make_shape
 from .verification import orbit_dimension, run_suite
@@ -38,6 +38,20 @@ def _parse_parts(text: str) -> tuple[int, ...]:
         raise UsageError(f"cannot parse composition {text!r}; expected e.g. 1,2,2") from None
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _u64(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2^64), got {value}")
+    return value
+
+
 def _shape_from_args(args) -> FlagShape:
     if args.group is None or args.n is None or args.parts is None:
         raise UsageError("--group, --n and --parts are required")
@@ -56,19 +70,13 @@ def _emit(line_obj, out_lines: list[str]):
 def _cmd_describe(args) -> int:
     shape = _shape_from_args(args)
     lines: list[str] = []
-    if shape.kind in (GroupKind.GL, GroupKind.SL):
-        for gen in build_generators(shape):
-            _emit(descriptor_to_json(gen), lines)
-    else:
-        system = build_osp_system(shape)
-        for gen in system.j_circ:
-            _emit(descriptor_to_json(gen), lines)
-        if system.m0 is not None:
-            m0_json = descriptor_to_json(Generator(None, system.m0))
-            m0_json["name"] = "M0"
-            _emit(m0_json, lines)
-        for gen in system.p_ratios:
-            _emit(descriptor_to_json(gen), lines)
+    system = build_system(shape)
+    for gen in system.j:
+        _emit(descriptor_to_json(gen), lines)
+    if system.m0 is not None:
+        _emit({**descriptor_to_json(Generator(None, system.m0)), "name": "M0"}, lines)
+    for gen in system.ratios:
+        _emit(descriptor_to_json(gen), lines)
     _write_out(args, lines)
     return 0
 
@@ -81,32 +89,23 @@ def _cmd_eval(args) -> int:
         with open(args.matrix, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         m = matrix_from_json(data)
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot read matrix file: {exc}") from None
     if m.nrows != shape.n or m.ncols != shape.n:
         raise UsageError(f"matrix is {m.nrows}x{m.ncols}, shape needs {shape.n}x{shape.n}")
-    values: dict[str, object] = {}
-    if shape.kind in (GroupKind.GL, GroupKind.SL):
-        adj = adjugate(m)
-        for gen in build_generators(shape):
-            values[f"({gen.pair.i},{gen.pair.j})"] = str(eval_generator(gen, m, adj))
-    else:
-        if not defining_equation_holds(shape.kind, m):
-            raise UsageError(f"matrix violates the defining form equation of {shape.kind.value}({shape.n})")
-        system = build_osp_system(shape)
-        ev = eval_osp(system, m)
-        for gen, v in zip(system.j_circ, ev.j_values):
-            values[f"({gen.pair.i},{gen.pair.j})"] = str(v)
-        if system.m0 is not None:
-            values["M0"] = str(ev.m0_value)
-            for gen, v in zip(system.p_ratios, ev.m_values):
-                values[f"M({gen.pair.i},{gen.pair.j})"] = str(v)
-            for k, gen in enumerate(system.p_ratios):
-                values[f"P({gen.pair.i},{gen.pair.j})"] = (
-                    None if ev.p_values is None else str(ev.p_values[k])
-                )
-            if ev.p_values is None:
-                print("ratio undefined at this point (M0 = 0)", file=sys.stderr)
+    if shape.kind in (GroupKind.O, GroupKind.SP) and not defining_equation_holds(shape.kind, m):
+        raise UsageError(f"matrix violates the defining form equation of {shape.kind.value}({shape.n})")
+    system = build_system(shape)
+    family = system.family()
+    named = dict(zip((label for label, _ in family), eval_family(family, m)))
+    # J(i,j) is keyed "(i,j)"; M0 and M(i,j) keep their names
+    values: dict[str, object] = {label.removeprefix("J"): str(v) for label, v in named.items()}
+    m0 = named.get("M0")
+    for gen in system.ratios:
+        key = f"({gen.pair.i},{gen.pair.j})"
+        values[f"P{key}"] = None if m0 == 0 else str(named[f"M{key}"] / m0)
+    if m0 == 0:
+        print("ratio undefined at this point (M0 = 0)", file=sys.stderr)
     lines: list[str] = []
     _emit(values, lines)
     _write_out(args, lines)
@@ -201,9 +200,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--group", choices=[k.value for k in GroupKind])
             p.add_argument("--n", type=int)
             p.add_argument("--parts", type=str, help="comma-separated composition, e.g. 1,2,2")
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--bound", type=int, default=10)
-        p.add_argument("--trials", type=int, default=100)
+        p.add_argument("--seed", type=_u64, default=1)
+        p.add_argument("--bound", type=_positive_int, default=10)
+        p.add_argument("--trials", type=_positive_int, default=100)
         p.add_argument("--out", type=str, default=None)
 
     add_common(sub.add_parser("describe", help="print generator descriptors as JSON lines"))
@@ -219,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_orbit = sub.add_parser("orbit-dim", help="orbit dimensions at sampled points")
     add_common(p_orbit)
-    p_orbit.add_argument("--points", type=int, default=3)
+    p_orbit.add_argument("--points", type=_positive_int, default=3)
     p_sample = sub.add_parser("sample", help="emit sampled matrices as JSON lines")
     add_common(p_sample)
     p_sample.add_argument("--what", choices=sorted(_SAMPLERS), default="group")

@@ -12,19 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (
-    DualMatrix,
-    DualScalar,
-    Field,
-    Matrix,
-    QQ,
-    adjugate,
-    det,
-    dual_adjugate,
-    dual_det,
-    dual_minor,
-    minor,
-)
+from .linalg import Field, Matrix, QQ, adjugate, det, minor
 from .shapes import FlagShape, GroupKind, IndexPair, ShapeError, index_set
 
 
@@ -113,34 +101,6 @@ def eval_generator(gen: Generator, point: Matrix, adj: Matrix | None = None) -> 
     if den == 0:
         raise RatioUndefinedError("ratio undefined at this point")
     return num / den
-
-
-def eval_generator_dual(
-    gen: Generator, dm: DualMatrix, dadj: DualMatrix | None = None
-) -> DualScalar:
-    """Generator value with an exact first derivative along the seeded direction."""
-    recipe = gen.recipe
-    if isinstance(recipe, MinorRecipe):
-        return dual_minor(dm, recipe.rows, recipe.cols)
-    if isinstance(recipe, StackedRecipe):
-        if dadj is None:
-            dadj = dual_adjugate(dm)
-        stacked = DualMatrix(
-            stacked_matrix(recipe, dm.value, dadj.value),
-            stacked_matrix(recipe, dm.deriv, dadj.deriv),
-        )
-        return dual_det(stacked)
-    num = dual_minor(dm, recipe.numerator.rows, recipe.numerator.cols)
-    den = dual_minor(dm, recipe.denominator.rows, recipe.denominator.cols)
-    if den.value == 0:
-        raise RatioUndefinedError("ratio undefined at this point")
-    return num / den
-
-
-def eval_all(shape: FlagShape, point: Matrix) -> list[Fraction]:
-    """All generator values at the point, in pair order, sharing one adjugate."""
-    adj = adjugate(point)
-    return [eval_generator(g, point, adj) for g in build_generators(shape)]
 
 
 def nonvanishing_witness(shape: FlagShape, pair: IndexPair) -> Matrix:

@@ -1,29 +1,40 @@
-"""Generator systems for the orthogonal and symplectic kinds.
+"""The generator system of a shape, one abstraction for every group kind.
 
 The J-generators are the general-linear recipes of the same composition,
-restricted (by filtering on the index set) to points of the group.  For
-an odd number of parts the central square of pairs additionally carries
-ratio invariants M_ij / M_0 of two corner minors; M_0 takes the rows of
-the trailing segments against the columns of the leading ones, and M_ij
-augments it by one central row and column.
+filtered to the group's index set (for the general and special linear
+kinds the filter keeps every recipe).  For the orthogonal and symplectic
+kinds with an odd number of parts the central square of pairs
+additionally carries ratio invariants M_ij / M_0 of two corner minors;
+M_0 takes the rows of the trailing segments against the columns of the
+leading ones, and M_ij augments it by one central row and column.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, adjugate, minor
+from .linalg import Matrix, adjugate
 from .generators_gl import Generator, MinorRecipe, RatioRecipe, build_generators, eval_generator
-from .sampling import GroupPoint
-from .shapes import FlagShape, GroupKind, ShapeError, index_set
+from .shapes import FlagShape, GroupKind, index_set
 
 
 @dataclass(frozen=True)
-class OspGeneratorSystem:
+class GeneratorSystem:
     shape: FlagShape
-    j_circ: tuple[Generator, ...]
+    j: tuple[Generator, ...]
     m0: MinorRecipe | None
-    p_ratios: tuple[Generator, ...]
+    ratios: tuple[Generator, ...]
+
+    def family(self) -> list[tuple[str, Generator]]:
+        """Named polynomial generators: J, then M0 and the ratio numerators M_ij."""
+        out = [(f"J({g.pair.i},{g.pair.j})", g) for g in self.j]
+        if self.m0 is not None:
+            out.append(("M0", Generator(None, self.m0)))
+            out.extend(
+                (f"M({g.pair.i},{g.pair.j})", Generator(g.pair, g.recipe.numerator))
+                for g in self.ratios
+            )
+        return out
 
 
 def corner_minor_recipe(shape: FlagShape) -> MinorRecipe | None:
@@ -36,13 +47,13 @@ def corner_minor_recipe(shape: FlagShape) -> MinorRecipe | None:
     return MinorRecipe(rows, cols)
 
 
-def build_osp_system(shape: FlagShape) -> OspGeneratorSystem:
-    """The full generator system for an orthogonal or symplectic shape."""
-    if shape.kind not in (GroupKind.O, GroupKind.SP):
-        raise ShapeError(f"expected kind o or sp, got {shape.kind.value}")
+def build_system(shape: FlagShape) -> GeneratorSystem:
+    """The full generator system of a shape; general linear kinds have no ratio layer."""
+    if shape.kind in (GroupKind.GL, GroupKind.SL):
+        return GeneratorSystem(shape, build_generators(shape), None, ())
     idx = index_set(shape)
     keep = set(idx.pairs)
-    j_circ = tuple(g for g in build_generators(shape.as_gl()) if g.pair in keep)
+    j = tuple(g for g in build_generators(shape.as_gl()) if g.pair in keep)
     m0 = corner_minor_recipe(shape)
     ratios: tuple[Generator, ...] = ()
     if m0 is not None:
@@ -59,36 +70,10 @@ def build_osp_system(shape: FlagShape) -> OspGeneratorSystem:
             )
             for pair in idx.gamma0
         )
-    return OspGeneratorSystem(shape=shape, j_circ=j_circ, m0=m0, p_ratios=ratios)
+    return GeneratorSystem(shape, j, m0, ratios)
 
 
-@dataclass(frozen=True)
-class OspEvaluation:
-    """Values of the system at one point; ratios are None where M_0 vanishes."""
-
-    j_values: tuple[Fraction, ...]
-    m0_value: Fraction | None
-    m_values: tuple[Fraction, ...]
-    p_values: tuple[Fraction, ...] | None
-
-    @property
-    def ratio_defined(self) -> bool:
-        return self.m0_value is None or self.p_values is not None
-
-
-def eval_osp(system: OspGeneratorSystem, point: GroupPoint | Matrix) -> OspEvaluation:
-    """Evaluate J-generators, corner minors and ratios at a group point."""
-    m = point.matrix if isinstance(point, GroupPoint) else point
-    adj = adjugate(m)
-    j_values = tuple(eval_generator(g, m, adj) for g in system.j_circ)
-    if system.m0 is None:
-        return OspEvaluation(j_values, None, (), ())
-    m0_value = minor(m, system.m0.rows, system.m0.cols)
-    m_values = tuple(
-        minor(m, g.recipe.numerator.rows, g.recipe.numerator.cols) for g in system.p_ratios
-    )
-    if m0_value == 0:
-        return OspEvaluation(j_values, m0_value, m_values, None)
-    return OspEvaluation(
-        j_values, m0_value, m_values, tuple(v / m0_value for v in m_values)
-    )
+def eval_family(family: list[tuple[str, Generator]], point: Matrix) -> list[Fraction]:
+    """Exact values of a named family at the point, sharing one adjugate."""
+    adj = adjugate(point)
+    return [eval_generator(g, point, adj) for _, g in family]

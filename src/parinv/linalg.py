@@ -6,9 +6,6 @@ through fraction-free Bareiss elimination with full pivot search on a
 denominator-cleared integer copy; adjugates are built from signed
 cofactors so singular input is handled uniformly.
 
-First derivatives of polynomial matrix functions are exact via degree-1
-dual numbers: ``det(X + eps*B) = det(X) + eps * trace(adj(X) @ B)``.
-
 Ranks are certified modulo the fixed prime P = 2^61 - 1.  Reducing a
 rational matrix mod P (possible when no denominator is divisible by P)
 maps every minor to its residue, so rank mod P <= rank over Q.  A residue
@@ -25,7 +22,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -482,120 +478,6 @@ GF_P = Field(
     sub=lambda a, b: [[(x - y) % P for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)],
     div=_div_mod_p,
 )
-
-
-@dataclass(frozen=True)
-class DualScalar:
-    """Degree-1 dual number a + b*eps with eps^2 = 0, exact components."""
-
-    value: Fraction
-    deriv: Fraction
-
-    @classmethod
-    def constant(cls, x) -> "DualScalar":
-        return cls(_to_fraction(x), Fraction(0))
-
-    def _coerce(self, other) -> "DualScalar":
-        if isinstance(other, DualScalar):
-            return other
-        return DualScalar.constant(other)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return DualScalar(self.value + o.value, self.deriv + o.deriv)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DualScalar(-self.value, -self.deriv)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return DualScalar(self.value * o.value, self.value * o.deriv + self.deriv * o.value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o.value == 0:
-            raise ZeroDivisionError("dual division needs a nonzero value part")
-        v = self.value / o.value
-        return DualScalar(v, (self.deriv - v * o.deriv) / o.value)
-
-
-@dataclass(frozen=True)
-class DualMatrix:
-    """Matrix over dual numbers, stored as value and derivative parts."""
-
-    value: Matrix
-    deriv: Matrix
-
-    def __post_init__(self):
-        self.value._require_same_shape(self.deriv)
-
-    @classmethod
-    def seed(cls, point: Matrix, i: int, j: int) -> "DualMatrix":
-        """Seed coordinate (i, j) (1-based) with eps."""
-        return cls(point, Matrix.unit(point.nrows, i, j))
-
-    def entry(self, r: int, c: int) -> DualScalar:
-        """0-based entry as a dual scalar."""
-        return DualScalar(self.value.rows[r][c], self.deriv.rows[r][c])
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "DualMatrix":
-        return DualMatrix(self.value.submatrix(row_idx, col_idx), self.deriv.submatrix(row_idx, col_idx))
-
-
-def dual_det(dm: DualMatrix) -> DualScalar:
-    """det over dual numbers: value det plus the adjugate-trace derivative."""
-    dm.value._require_square()
-    return DualScalar(det(dm.value), trace_product(adjugate(dm.value), dm.deriv))
-
-
-def dual_minor(dm: DualMatrix, row_list: Sequence[int], col_list: Sequence[int]) -> DualScalar:
-    _check_index_lists(dm.value, row_list, col_list)
-    return dual_det(dm.submatrix([i - 1 for i in row_list], [j - 1 for j in col_list]))
-
-
-def dual_adjugate(dm: DualMatrix) -> DualMatrix:
-    """Adjugate over dual numbers.
-
-    At invertible value parts the closed form
-    ``d adj = trace(adj(X) @ B) * X^-1 - adj(X) @ B @ X^-1`` applies; the
-    singular case falls back to per-cofactor dual determinants.
-    """
-    x, b = dm.value, dm.deriv
-    x._require_square()
-    n = x.nrows
-    adj_x = adjugate(x)
-    d = det(x)
-    if d != 0:
-        x_inv = adj_x * (1 / d)
-        deriv = x_inv * trace_product(adj_x, b) - (adj_x @ b) @ x_inv
-        return DualMatrix(adj_x, deriv)
-    all_rows = range(n)
-    deriv_rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        rows = [r for r in all_rows if r != i]
-        for j in range(n):
-            cols = [c for c in all_rows if c != j]
-            cof = dual_det(dm.submatrix(rows, cols)).deriv
-            deriv_rows[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return DualMatrix(adj_x, Matrix(deriv_rows))
-
-
-def partial_derivative(
-    f: Callable[[DualMatrix], DualScalar], point: Matrix, coordinate: tuple[int, int]
-) -> Fraction:
-    """Exact d f / d x_ij at the point, by seeding coordinate (i, j) with eps."""
-    i, j = coordinate
-    return f(DualMatrix.seed(point, i, j)).deriv
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:

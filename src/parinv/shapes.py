@@ -125,10 +125,6 @@ def make_shape(kind, n: int, parts) -> FlagShape:
     return FlagShape(GroupKind.parse(kind), n, tuple(parts))
 
 
-def mirror(shape: FlagShape, i: int) -> int:
-    return shape.mirror(i)
-
-
 @dataclass(frozen=True)
 class GeneratorIndexSet:
     """Index pairs carrying generators, in ascending total order.

@@ -25,7 +25,7 @@ from .generators_gl import (
     s0_monomial_value,
     stacked_matrix,
 )
-from .generators_osp import build_osp_system
+from .generators_osp import build_system, eval_family
 from .linalg import (
     GF_P,
     QQ,
@@ -126,26 +126,6 @@ class VerificationReport:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
 
-def generator_family(shape: FlagShape) -> list[tuple[str, Generator]]:
-    """Named polynomial generators whose exact invariance is asserted."""
-    if shape.kind in (GroupKind.GL, GroupKind.SL):
-        return [(f"J({g.pair.i},{g.pair.j})", g) for g in build_generators(shape)]
-    system = build_osp_system(shape)
-    family = [(f"J({g.pair.i},{g.pair.j})", g) for g in system.j_circ]
-    if system.m0 is not None:
-        family.append(("M0", Generator(None, system.m0)))
-        family.extend(
-            (f"M({g.pair.i},{g.pair.j})", Generator(g.pair, g.recipe.numerator))
-            for g in system.p_ratios
-        )
-    return family
-
-
-def _eval_family(family, m: Matrix) -> list[Fraction]:
-    adj = adjugate(m)
-    return [eval_generator(g, m, adj) for _, g in family]
-
-
 def _conjugate(x: Matrix, g: Matrix) -> Matrix:
     return inverse(g) @ x @ g
 
@@ -217,7 +197,7 @@ def check_golden_values(shape: FlagShape) -> CheckResult:
             problems.append("restriction of J(2,3) to the flattened slice should be -s51*s42*s23")
     elif key == _EXAMPLE_SP:
         details["golden"] = "sp8-1,2,2,2,1"
-        system = build_osp_system(shape)
+        system = build_system(shape)
         idx = index_set(shape)
         by_row = {r: sorted(p.j for p in idx.pairs if p.i == r) for r in (6, 7, 8)}
         if len(idx.pairs) != 19:
@@ -228,7 +208,7 @@ def check_golden_values(shape: FlagShape) -> CheckResult:
             problems.append("central square should be {4,5} x {4,5}")
         if system.m0 != MinorRecipe((6, 7, 8), (1, 2, 3)):
             problems.append("corner minor should take rows 6,7,8 against columns 1,2,3")
-        details["counts"] = {"pairs": len(idx.pairs), "ratios": len(system.p_ratios)}
+        details["counts"] = {"pairs": len(idx.pairs), "ratios": len(system.ratios)}
     if shape.kind in (GroupKind.GL, GroupKind.SL):
         bad = [
             list(g.pair)
@@ -251,7 +231,7 @@ def check_invariance(
     second_component: bool = False,
 ) -> CheckResult:
     """f(g^-1 x g) = f(x) exactly, for every generator, over seeded trials."""
-    family = generator_family(shape) + (extra_family or [])
+    family = build_system(shape).family() + (extra_family or [])
     base = _S_SECOND_COMPONENT if second_component else _S_INVARIANCE
     name = "invariance_second_component" if second_component else "invariance"
     counterexample = None
@@ -260,8 +240,8 @@ def check_invariance(
         x = sample_group_point(shape, rng, bound, second_component=second_component).matrix
         g = sample_unipotent_radical(shape, rng, bound).matrix
         y = _conjugate(x, g)
-        vx = _eval_family(family, x)
-        vy = _eval_family(family, y)
+        vx = eval_family(family, x)
+        vy = eval_family(family, y)
         if vx != vy:
             idx = next(k for k in range(len(vx)) if vx[k] != vy[k])
             label, gen = family[idx]
@@ -476,19 +456,20 @@ def check_count_identity(shape: FlagShape, generic_orbit: int) -> CheckResult:
     gl = shape.as_gl()
     n = shape.n
     problems = []
-    details: dict = {"generic_orbit": generic_orbit, "dim_u": dim_unipotent_radical(shape)}
+    count = len(index_set(shape).pairs)
+    details: dict = {
+        "generic_orbit": generic_orbit,
+        "dim_u": dim_unipotent_radical(shape),
+        "generators": count,
+    }
     if len(index_set(gl).pairs) != n * n - dim_unipotent_radical(gl):
         problems.append("ambient pair count != n^2 - dim U")
     if generic_orbit != dim_unipotent_radical(shape):
         problems.append("generic orbit dimension != dim U")
     if shape.kind in (GroupKind.GL, GroupKind.SL):
-        count = len(index_set(shape).pairs)
-        details["generators"] = count
         if count != dim_group(shape) - generic_orbit:
             problems.append("generator count != dim G - generic orbit dimension")
     else:
-        count = len(index_set(shape).pairs)
-        details["generators"] = count
         details["dim_g0"] = dim_g0(shape)
         details["dim_g"] = dim_group(shape)
         if count + dim_g0(shape) != dim_group(shape) - generic_orbit:
@@ -570,17 +551,15 @@ def independence_rank(shape: FlagShape, point: Matrix) -> dict:
     """Exact Jacobian rank of the generator system on the tangent space at the point.
 
     Residue ranks decide only where they meet a proven upper bound (see
-    ``parinv.linalg``); the central ratio rows of the orthogonal/symplectic
-    kinds, whose expected rank is below their count, are ranked exactly.
+    ``parinv.linalg``); the central ratio rows Gamma0 of the
+    orthogonal/symplectic kinds, whose expected rank is below their count,
+    are ranked exactly.  Without a ratio layer Gamma0 is empty, the
+    combined rank is the J rank, and each matrix is ranked once.
     """
-    if shape.kind in (GroupKind.GL, GroupKind.SL):
-        gens = build_generators(shape)
-        return {
-            "rank": _certified_rank(lambda f: _tangent_jacobian(shape, gens, point, f)),
-            "expected": len(gens),
-        }
-    system = build_osp_system(shape)
-    j_gens, ratios = system.j_circ, system.p_ratios
+    system = build_system(shape)
+    j_gens, ratios = system.j, system.ratios
+    # the central factor G0 exists only with a ratio layer (odd ell, O/Sp kinds)
+    gamma_expected = dim_g0(shape) if ratios else 0
     gamma = _tangent_jacobian(shape, ratios, point, QQ) if ratios else None
     gamma_rank = rank(gamma) if ratios else 0
     j_rank = combined_rank = None
@@ -589,7 +568,7 @@ def independence_rank(shape: FlagShape, point: Matrix) -> dict:
         if rank_mod_p(jac[: len(j_gens)]) == len(j_gens):
             j_rank = len(j_gens)
             # rank(J; Gamma) <= rows(J) + rank(Gamma), and residue ranks are lower bounds
-            if rank_mod_p(jac) == len(j_gens) + gamma_rank:
+            if not ratios or rank_mod_p(jac) == len(j_gens) + gamma_rank:
                 combined_rank = len(j_gens) + gamma_rank
         del jac
     except ZeroDivisionError:
@@ -598,14 +577,14 @@ def independence_rank(shape: FlagShape, point: Matrix) -> dict:
         j_jac = _tangent_jacobian(shape, j_gens, point, QQ)
         if j_rank is None:
             j_rank = rank(j_jac)
-        combined_rank = rank(Matrix(j_jac.rows + (gamma.rows if ratios else ())))
+        combined_rank = rank(Matrix(j_jac.rows + gamma.rows)) if ratios else j_rank
     return {
         "rank": combined_rank,
-        "expected": len(j_gens) + dim_g0(shape),
+        "expected": len(j_gens) + gamma_expected,
         "j_rank": j_rank,
         "j_expected": len(j_gens),
         "gamma0_rank": gamma_rank,
-        "gamma0_expected": dim_g0(shape),
+        "gamma0_expected": gamma_expected,
     }
 
 
@@ -619,10 +598,8 @@ def _in_generic_position(shape: FlagShape, x: Matrix) -> bool:
     factor's matrix entries do), which is not a degeneracy.
     """
     adj = adjugate(x)
-    if shape.kind in (GroupKind.GL, GroupKind.SL):
-        return all(eval_generator(g, x, adj) != 0 for g in build_generators(shape))
-    system = build_osp_system(shape)
-    if any(eval_generator(g, x, adj) == 0 for g in system.j_circ):
+    system = build_system(shape)
+    if any(eval_generator(g, x, adj) == 0 for g in system.j):
         return False
     return system.m0 is None or minor(x, system.m0.rows, system.m0.cols) != 0
 
@@ -657,20 +634,18 @@ def check_independence(shape: FlagShape, seed: int, bound: int, points: int = 3)
         "deficits": deficits,
         "skipped_nongeneric": skipped,
     }
-    if shape.kind in (GroupKind.GL, GroupKind.SL):
-        passed = len(results) == points and any(r["rank"] == r["expected"] for r in results)
-    else:
-        passed = (
-            len(results) == points
-            and any(r["j_rank"] == r["j_expected"] for r in results)
-            and any(r["gamma0_rank"] == r["gamma0_expected"] for r in results)
-        )
-        if results:
-            details["j_ranks"] = [r["j_rank"] for r in results]
-            details["j_expected"] = results[0]["j_expected"]
-            details["gamma0_ranks"] = [r["gamma0_rank"] for r in results]
-            details["gamma0_expected"] = results[0]["gamma0_expected"]
-            details["corank_adjustment"] = expected - max(r["rank"] for r in results)
+    # without a ratio layer the rank is the J rank and Gamma0 is 0 of 0
+    passed = (
+        len(results) == points
+        and any(r["j_rank"] == r["j_expected"] for r in results)
+        and any(r["gamma0_rank"] == r["gamma0_expected"] for r in results)
+    )
+    if results and shape.kind not in (GroupKind.GL, GroupKind.SL):
+        details["j_ranks"] = [r["j_rank"] for r in results]
+        details["j_expected"] = results[0]["j_expected"]
+        details["gamma0_ranks"] = [r["gamma0_rank"] for r in results]
+        details["gamma0_expected"] = results[0]["gamma0_expected"]
+        details["corank_adjustment"] = expected - max(r["rank"] for r in results)
     return CheckResult("independence_rank", passed, details)
 
 
@@ -682,7 +657,7 @@ def check_nonvanishing(shape: FlagShape, seed: int, bound: int, budget: int = 10
     identity-component witness get a second budget of swapped-component
     samples.
     """
-    family = generator_family(shape)
+    family = build_system(shape).family()
     samples = []
     for t in range(budget):
         rng = Rng(seed, _stream(_S_WITNESS, t))
@@ -752,10 +727,7 @@ def mutated_generators(shape: FlagShape, limit: int = 8) -> list[tuple[str, Gene
     (entries of the preserved lower-left blocks), while high-column ones
     mix block regions and visibly break.
     """
-    if shape.kind in (GroupKind.GL, GroupKind.SL):
-        base = build_generators(shape)
-    else:
-        base = build_osp_system(shape).j_circ
+    base = build_system(shape).j
     genuine = {g.recipe for g in base}
     all_candidates = []
     seen = set()

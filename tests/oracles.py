@@ -1,13 +1,13 @@
 """Independent test oracles: first-row cofactor expansion only.
 
 Deliberately naive and separate from the library's elimination-based
-paths; works over any commutative ring (Fractions, dual numbers).
+paths; works over any commutative ring.
 """
 from fractions import Fraction
 from itertools import combinations
 
 from parinv.generators_gl import MinorRecipe, RatioRecipe, StackedRecipe
-from parinv.linalg import Matrix
+from parinv.linalg import P, Matrix
 
 
 def det_cofactor(rows):
@@ -66,3 +66,28 @@ def rank_cofactor(m: Matrix) -> int:
                 if minor_cofactor(m, rows, cols) != 0:
                     return size
     return 0
+
+
+def derivative_at_zero(nodes, vals):
+    """Exact derivative at 0 of the polynomial interpolating vals at nodes."""
+    total = Fraction(0)
+    for k, xk in enumerate(nodes):
+        others = [x for i, x in enumerate(nodes) if i != k]
+        denom = Fraction(1)
+        for x in others:
+            denom *= xk - x
+        # d/dt prod (t - x_i) at t=0: sum over j of prod_{i != j} (0 - x_i)
+        num = Fraction(0)
+        for j in range(len(others)):
+            term = Fraction(1)
+            for i, x in enumerate(others):
+                if i != j:
+                    term *= -x
+            num += term
+        total += vals[k] * num / denom
+    return total
+
+
+def fraction_mod_p(x: Fraction) -> int:
+    """The residue of a rational mod P (its denominator must be prime to P)."""
+    return x.numerator * pow(x.denominator, -1, P) % P

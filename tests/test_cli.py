@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 from parinv.cli import main
 from parinv.linalg import Matrix, matrix_to_json
 from parinv.generators_gl import nonvanishing_witness
+from parinv.sampling import Rng, sample_group_point
 from parinv.shapes import IndexPair, make_shape
 
 
@@ -108,11 +110,49 @@ def test_eval_size_mismatch(tmp_path, capsys):
 
 def test_eval_bad_file(tmp_path, capsys):
     path = tmp_path / "garbage.json"
-    path.write_text("not json")
-    code, _, err = run_cli(
-        capsys, "eval", "--group", "gl", "--n", "5", "--parts", "1,2,2", "--matrix", str(path)
-    )
-    assert code == 2
+    for text in ("not json", json.dumps([["1/0", "0"], ["0", "1"]])):
+        path.write_text(text)
+        code, out, err = run_cli(
+            capsys, "eval", "--group", "gl", "--n", "2", "--parts", "1,1", "--matrix", str(path)
+        )
+        assert code == 2
+        assert out == "" and "cannot read matrix file" in err
+
+
+# sha256 of the complete stdout, recorded before describe and eval moved
+# onto one generator system; the eval point is a fixed sampled group point
+PINNED_OUTPUT = {
+    ("gl", 5, "1,2,2"): (
+        "103d3714fd1cbe50ecf5b0aabf2e6cddb319d56ef91173d03219987b95401a5f",
+        "52b4fcae7bd23e099c96812fa71bc60c816227c6b728c20bcbcfb2ea3bd3334e",
+    ),
+    ("sl", 5, "1,2,2"): (
+        "438178522f42a6ea9f7173ab533b7c41cc637c890c4f1b6cc36d512d37b73f5e",
+        "61a5d4da9a7727b85386e62a4b7b3804aa6a33b715007e92390bb45f37f66826",
+    ),
+    ("o", 5, "1,3,1"): (
+        "99e69f70f08ed1a850f437ffd076b57743a038b5b0514f6756da7b807e9c8ebb",
+        "3e392fb8429b575d5e481e8f6304d420eca28073418c14f7d949ecb693304423",
+    ),
+    ("sp", 8, "1,2,2,2,1"): (
+        "fa44f39690185ee293821e220e9deec51615412b1b9ce8ae50437edf2ae7b9ad",
+        "c30e9c026efeb3bafcd255202c5b56955455dc1f3e5db626ce102ed4036aa014",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind,n,parts", sorted(PINNED_OUTPUT))
+def test_describe_and_eval_output_is_pinned(kind, n, parts, tmp_path, capsys):
+    shape_args = ["--group", kind, "--n", str(n), "--parts", parts]
+    point = sample_group_point(make_shape(kind, n, map(int, parts.split(","))), Rng(11), 5)
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(matrix_to_json(point.matrix)))
+    code, described, _ = run_cli(capsys, "describe", *shape_args)
+    assert code == 0
+    code, evaluated, _ = run_cli(capsys, "eval", *shape_args, "--matrix", str(path))
+    assert code == 0
+    digests = tuple(hashlib.sha256(out.encode()).hexdigest() for out in (described, evaluated))
+    assert digests == PINNED_OUTPUT[kind, n, parts]
 
 
 def test_verify_small_run_deterministic_and_out_file(tmp_path, capsys):
@@ -190,9 +230,25 @@ def test_slice_scirc_rejected_for_gl(capsys):
 
 
 def test_unknown_flag_is_rejected():
-    with pytest.raises(SystemExit) as exc:
-        main(["describe", "--group", "gl", "--n", "2", "--parts", "2", "--frobnicate"])
-    assert exc.value.code == 2
+    shape = ["--group", "gl", "--n", "2", "--parts", "2"]
+    bad = [
+        ["describe", *shape, "--frobnicate"],
+        # --bound, --trials and --points are >= 1; --seed is a U64
+        ["verify", *shape, "--bound", "0"],
+        ["sample", *shape, "--bound", "-3"],
+        ["selftest", "--bound", "0"],
+        ["verify", *shape, "--trials", "-1"],
+        ["sample", *shape, "--trials", "0"],
+        ["orbit-dim", *shape, "--points", "-2"],
+        ["sample", *shape, "--seed", "-1"],
+        ["sample", *shape, "--seed", str(1 << 64)],
+        ["sample", *shape, "--seed", "ten"],
+    ]
+    for argv in bad:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    assert main(["sample", *shape, "--seed", str((1 << 64) - 1), "--trials", "1"]) == 0
 
 
 def test_console_entry_point():

@@ -8,18 +8,18 @@ from parinv.generators_gl import (
     StackedRecipe,
     build_generators,
     descriptor_to_json,
-    eval_all,
     eval_generator,
-    eval_generator_dual,
     nonvanishing_witness,
     s0_monomial_sign,
     s0_monomial_value,
 )
-from parinv.linalg import DualMatrix, Matrix, adjugate, det, inverse
+from parinv.generators_osp import build_system, eval_family
+from parinv.linalg import GF_P, Matrix, adjugate, det, inverse, reduce_mod_p
 from parinv.sampling import Rng, sample_group_point, sample_slice, sample_unipotent_radical
 from parinv.shapes import IndexPair, ShapeError, index_set, make_shape
+from parinv.verification import directional_jacobian
 
-from oracles import eval_descriptor_cofactor
+from oracles import derivative_at_zero, eval_descriptor_cofactor, fraction_mod_p
 
 GL5 = make_shape("gl", 5, (1, 2, 2))
 SL5 = make_shape("sl", 5, (1, 2, 2))
@@ -117,18 +117,24 @@ def test_eval_matches_cofactor_oracle_at_identity_and_random():
             assert eval_generator(g, m, adj) == eval_descriptor_cofactor(g, m)
 
 
+def family_values(shape, point):
+    return eval_family(build_system(shape).family(), point)
+
+
 def test_eval_all_in_order():
     rng = Rng(52)
     m = random_invertible(rng, 5)
-    values = eval_all(GL5, m)
+    family = build_system(GL5).family()
+    values = eval_family(family, m)
     assert len(values) == 17
     gens = build_generators(GL5)
+    assert [label for label, _ in family] == [f"J({g.pair.i},{g.pair.j})" for g in gens]
     assert values == [eval_generator(g, m) for g in gens]
 
 
 def test_eval_all_gl2_at_identity():
     shape = make_shape("gl", 2, (1, 1))
-    values = eval_all(shape, Matrix.identity(2))
+    values = family_values(shape, Matrix.identity(2))
     # J(2,1) = x21 -> 0; stacked J(2,2) -> 0; J(1,2) = det -> 1
     assert values == [0, 0, 1]
 
@@ -139,7 +145,7 @@ def test_invariance_under_unipotent_conjugation():
             rng = Rng(53, t)
             x = sample_group_point(shape, rng, 6).matrix
             u = sample_unipotent_radical(shape, rng, 6).matrix
-            assert eval_all(shape, inverse(u) @ x @ u) == eval_all(shape, x)
+            assert family_values(shape, inverse(u) @ x @ u) == family_values(shape, x)
 
 
 def test_not_invariant_under_general_conjugation():
@@ -147,7 +153,7 @@ def test_not_invariant_under_general_conjugation():
     rng = Rng(54)
     x = sample_group_point(GL5, rng, 6).matrix
     g = random_invertible(rng, 5)
-    moved = eval_all(GL5, inverse(g) @ x @ g) != eval_all(GL5, x)
+    moved = family_values(GL5, inverse(g) @ x @ g) != family_values(GL5, x)
     assert moved
 
 
@@ -187,16 +193,20 @@ def test_s0_sign_rejects_lower_pairs():
 
 
 def test_dual_eval_matches_cofactor_dual_oracle():
+    """First derivatives f'(m)[b] (the dual part of f(m + eps b)) from
+    directional_jacobian, over QQ and GF_P, against interpolation."""
     rng = Rng(57)
     m = random_invertible(rng, 5)
     b = Matrix([[rng.randint(-4, 4) for _ in range(5)] for _ in range(5)])
-    dm = DualMatrix(m, b)
-    for g in build_generators(GL5):
-        got = eval_generator_dual(g, dm)
-        assert got.value == eval_generator(g, m)
+    gens = build_generators(GL5)
+    assert {type(g.recipe) for g in gens} == {MinorRecipe, StackedRecipe}
+    exact = directional_jacobian(gens, m, [b])
+    residues = directional_jacobian(gens, reduce_mod_p(m), [reduce_mod_p(b)], GF_P)
+    for g, exact_row, residue_row in zip(gens, exact.rows, residues):
         # independent derivative oracle: f(m + t b) is a polynomial in t
         # (degree |x_rows| + 4 |adj_rows| at worst), so exact interpolation
-        # recovers its linear coefficient, which is f'(m)[b]
+        # of cofactor-expansion values recovers its linear coefficient,
+        # which is f'(m)[b]
         recipe = g.recipe
         degree = (
             len(recipe.rows)
@@ -204,29 +214,9 @@ def test_dual_eval_matches_cofactor_dual_oracle():
             else len(recipe.x_rows) + 4 * len(recipe.adj_rows)
         )
         nodes = [Fraction(k) for k in range(degree + 1)]
-        vals = [eval_generator(g, m + b * u) for u in nodes]
-        deriv = _derivative_at_zero(nodes, vals)
-        assert got.deriv == deriv
-
-
-def _derivative_at_zero(nodes, vals):
-    # exact derivative at 0 of the interpolating polynomial
-    total = Fraction(0)
-    for k, xk in enumerate(nodes):
-        others = [x for i, x in enumerate(nodes) if i != k]
-        denom = Fraction(1)
-        for x in others:
-            denom *= xk - x
-        # d/dt prod (t - x_i) at t=0: sum over j of prod_{i != j} (0 - x_i)
-        num = Fraction(0)
-        for j in range(len(others)):
-            term = Fraction(1)
-            for i, x in enumerate(others):
-                if i != j:
-                    term *= -x
-            num += term
-        total += vals[k] * num / denom
-    return total
+        deriv = derivative_at_zero(nodes, [eval_descriptor_cofactor(g, m + b * u) for u in nodes])
+        assert exact_row == (deriv,)
+        assert residue_row == [fraction_mod_p(deriv)]
 
 
 def test_descriptor_json():

@@ -6,24 +6,18 @@ from parinv.linalg import (
     GF_P,
     P,
     DimensionError,
-    DualMatrix,
-    DualScalar,
     Matrix,
     SingularMatrixError,
     adjugate,
     adjugate_mod_p,
     det,
     det_mod_p,
-    dual_adjugate,
-    dual_det,
-    dual_minor,
     inverse,
     inverse_mod_p,
     matrix_from_json,
     matrix_to_json,
     minor,
     nullspace_basis,
-    partial_derivative,
     rank,
     rank_mod_p,
     reduce_mod_p,
@@ -273,81 +267,6 @@ def test_matrix_rejects_floats_and_ragged_rows():
 def test_anti_transpose():
     m = Matrix([[1, 2], [3, 4]])
     assert m.anti_transpose() == Matrix([[4, 2], [3, 1]])
-
-
-def test_dual_scalar_arithmetic():
-    a = DualScalar(Fraction(2), Fraction(3))
-    b = DualScalar(Fraction(5), Fraction(-1))
-    prod = a * b
-    assert (prod.value, prod.deriv) == (Fraction(10), Fraction(13))
-    q = a / b
-    # (a + b eps)(c + d eps) = ac + (ad + bc) eps, so q * b must reproduce a
-    back = q * b
-    assert (back.value, back.deriv) == (a.value, a.deriv)
-    with pytest.raises(ZeroDivisionError):
-        a / DualScalar(Fraction(0), Fraction(1))
-
-
-def test_partial_derivative_of_det_is_adjugate_entry():
-    assert partial_derivative(dual_det, Matrix.identity(2), (1, 1)) == 1
-    rng = Rng(18)
-    for k in range(12):
-        n = rng.randint(2, 4)
-        m = random_matrix(rng, n, bound=3 if k % 3 == 0 else 8)
-        adj = adjugate(m)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                assert partial_derivative(dual_det, m, (i, j)) == adj.rows[j - 1][i - 1]
-
-
-def test_partial_derivative_of_coordinate():
-    f = lambda dm: dm.entry(0, 1)
-    assert partial_derivative(f, FIXED_5, (2, 1)) == 0
-    assert partial_derivative(f, FIXED_5, (1, 2)) == 1
-
-
-def test_dual_det_matches_cofactor_expansion_over_duals():
-    rng = Rng(19)
-    for _ in range(12):
-        n = rng.randint(1, 4)
-        value = random_matrix(rng, n, bound=4)
-        direction = random_matrix(rng, n, bound=4)
-        dm = DualMatrix(value, direction)
-        cells = [
-            [dm.entry(r, c) for c in range(n)]
-            for r in range(n)
-        ]
-        oracle = det_cofactor(cells)
-        got = dual_det(dm)
-        assert (got.value, got.deriv) == (oracle.value, oracle.deriv)
-
-
-def test_dual_adjugate_matches_cofactor_oracle_incl_singular():
-    rng = Rng(20)
-    singular_seen = 0
-    for k in range(16):
-        n = rng.randint(2, 4)
-        value = random_matrix(rng, n, bound=2)
-        if k % 4 == 0:
-            value = Matrix([list(value.rows[0])] + [list(value.rows[0])] + [list(r) for r in value.rows[2:]])
-        singular_seen += det(value) == 0
-        direction = random_matrix(rng, n, bound=4)
-        dm = DualMatrix(value, direction)
-        got = dual_adjugate(dm)
-        cells = [[dm.entry(r, c) for c in range(n)] for r in range(n)]
-        oracle = adjugate_cofactor(cells)
-        for r in range(n):
-            for c in range(n):
-                assert got.value.rows[r][c] == oracle[r][c].value
-                assert got.deriv.rows[r][c] == oracle[r][c].deriv
-    assert singular_seen > 0  # the fallback path was exercised
-
-
-def test_dual_minor_derivative():
-    dm = DualMatrix.seed(FIXED_5, 4, 1)  # d/dx_41
-    got = dual_minor(dm, [4, 5], [1, 2])
-    # det [[x41, x42], [x51, x52]] differentiates to x52
-    assert got.deriv == FIXED_5.rows[4][1]
 
 
 def test_matrix_json_roundtrip():

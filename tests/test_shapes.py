@@ -10,7 +10,6 @@ from parinv.shapes import (
     dim_unipotent_radical,
     index_set,
     make_shape,
-    mirror,
     order_key,
 )
 from parinv.sampling import Rng
@@ -47,11 +46,11 @@ def test_make_shape_errors():
 
 def test_mirror():
     shape = make_shape("gl", 5, [5])
-    assert mirror(shape, 1) == 5
-    assert mirror(shape, 3) == 3
-    assert mirror(make_shape("gl", 8, [8]), 6) == 3
+    assert shape.mirror(1) == 5
+    assert shape.mirror(3) == 3
+    assert make_shape("gl", 8, [8]).mirror(6) == 3
     with pytest.raises(ShapeError):
-        mirror(shape, 6)
+        shape.mirror(6)
 
 
 def test_block_of():

@@ -5,6 +5,7 @@ import pytest
 from parinv import linalg, verification
 from parinv.cli import ACCEPTANCE_SHAPES
 from parinv.generators_gl import Generator, MinorRecipe
+from parinv.generators_osp import build_system, eval_family
 from parinv.linalg import Matrix
 from parinv.sampling import Rng, sample_group_point
 from parinv.shapes import make_shape
@@ -21,7 +22,6 @@ from parinv.verification import (
     check_nonvanishing,
     check_orbit_dimension,
     check_slice_support,
-    generator_family,
     independence_rank,
     mutated_generators,
     orbit_dimension,
@@ -61,14 +61,18 @@ def test_orbit_dimension_identity_is_fixed_point(monkeypatch):
 
 def test_independence_rank_at_identity_is_exact(monkeypatch):
     # the identity is not generic: the Jacobians drop rank, so no residue
-    # rank meets its bound and the exact ranks decide
+    # rank meets its bound and the exact ranks decide; without a ratio
+    # layer the J Jacobian is the whole matrix and is ranked once
     exact = _spy_exact_rank(monkeypatch)
-    assert independence_rank(GL5, Matrix.identity(5)) == {"rank": 3, "expected": 17}
+    assert independence_rank(GL5, Matrix.identity(5)) == {
+        "rank": 3, "expected": 17, "j_rank": 3, "j_expected": 17,
+        "gamma0_rank": 0, "gamma0_expected": 0,
+    }
     assert independence_rank(make_shape("sp", 4, (2, 2)), Matrix.identity(4)) == {
         "rank": 2, "expected": 7, "j_rank": 2, "j_expected": 7,
         "gamma0_rank": 0, "gamma0_expected": 0,
     }
-    assert exact == [(17, 25), (7, 10), (7, 10)]
+    assert exact == [(17, 25), (7, 10)]
 
 
 def test_certified_rank_falls_back_below_the_bound():
@@ -127,9 +131,13 @@ def test_orbit_dimension_generic_values():
 
 def test_independence_rank_values():
     x = sample_group_point(GL5, Rng(71), 8).matrix
-    assert independence_rank(GL5, x) == {"rank": 17, "expected": 17}
+    assert independence_rank(GL5, x) == {
+        "rank": 17, "expected": 17, "j_rank": 17, "j_expected": 17,
+        "gamma0_rank": 0, "gamma0_expected": 0,
+    }
     y = sample_group_point(SL5, Rng(71), 8).matrix
-    assert independence_rank(SL5, y) == {"rank": 16, "expected": 16}
+    r = independence_rank(SL5, y)
+    assert (r["rank"], r["expected"]) == (16, 16)
     z = sample_group_point(make_shape("gl", 2, (2,)), Rng(71), 8).matrix
     assert independence_rank(make_shape("gl", 2, (2,)), z)["rank"] == 4
 
@@ -166,12 +174,10 @@ def test_check_invariance_catches_broken_descriptor():
 
 
 def test_identity_conjugation_is_trivially_invariant():
-    family = generator_family(GL5)
+    family = build_system(GL5).family()
     assert len(family) == 17
     x = sample_group_point(GL5, Rng(73), 8).matrix
-    from parinv.verification import _eval_family
-
-    assert _eval_family(family, x) == _eval_family(family, x)
+    assert eval_family(family, x) == eval_family(family, x)
 
 
 def test_adjugate_minor_lemma_check():
