@@ -187,8 +187,11 @@ def _cmd_selftest(args) -> int:
 
 def _write_out(args, lines: list[str]):
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out file: {exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -145,11 +145,14 @@ def s0_monomial_sign(shape: FlagShape, pair: IndexPair) -> int:
     return int(value)
 
 
-def s0_monomial_value(shape: FlagShape, pair: IndexPair, point: Matrix) -> Fraction:
-    """The signed monomial the pair's generator equals on the slice S0."""
-    n = shape.n
+def s0_monomial_value(sign: int, pair: IndexPair, point: Matrix) -> Fraction:
+    """The monomial the pair's generator equals on the slice S0, times its sign.
+
+    ``sign`` is ``s0_monomial_sign(shape, pair)``, computed once per pair.
+    """
+    n = point.nrows
     i, j = pair
-    value = Fraction(s0_monomial_sign(shape, pair))
+    value = Fraction(sign)
     for t in range(1, j):
         value *= point.rows[n - t][t - 1]
     return value * point.rows[i - 1][j - 1]

@@ -1,10 +1,13 @@
 """Exact dense linear algebra over arbitrary-precision rationals.
 
 Scalars are ``fractions.Fraction`` (always lowest terms, positive
-denominator, no rounding ever).  Matrices are immutable.  Determinants go
-through fraction-free Bareiss elimination with full pivot search on a
-denominator-cleared integer copy; adjugates are built from signed
-cofactors so singular input is handled uniformly.
+denominator, no rounding ever).  Matrices are immutable.  Every
+determinant, adjugate, inverse, rank and nullspace, over Q and mod P, is
+read off one fraction-free Bareiss Gauss-Jordan elimination
+(``_bareiss``).  Over Q it runs on integer rows, each row cleared of
+denominators by its own scale.  A regular matrix's adjugate and inverse
+come from eliminating [X | E]; a singular matrix's adjugate falls back
+to signed cofactors.
 
 Ranks are certified modulo the fixed prime P = 2^61 - 1.  Reducing a
 rational matrix mod P (possible when no denominator is divisible by P)
@@ -156,66 +159,123 @@ class Matrix:
             raise DimensionError("matrix shapes differ")
 
 
-def _integer_rows(m: Matrix) -> tuple[list[list[int]], Fraction]:
-    """Clear denominators row by row; det(m) = bareiss_det / scale."""
-    out = []
-    scale = 1
+def _integer_rows(m: Matrix) -> tuple[list[list[int]], list[int]]:
+    """Clear denominators row by row: row i of m is row i of the result / scales[i]."""
+    rows = []
+    scales = []
     for row in m.rows:
         den = 1
         for x in row:
             den = den * x.denominator // math.gcd(den, x.denominator)
-        out.append([x.numerator * (den // x.denominator) for x in row])
-        scale *= den
-    return out, Fraction(scale)
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+        scales.append(den)
+    return rows, scales
+
+
+def _bareiss(a: list[list[int]], ncols: int, upward: bool, p: int | None = None):
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    The pivot of each of the first ``ncols`` columns is its first nonzero
+    entry at or below the current row, swapped into place; a column
+    without one is skipped.  Each step updates every row below the pivot
+    row (with ``upward``, every row above it too).  Every entry stays a
+    minor of the input (Bareiss 1968; Nakos-Turner-Williams 1997 for the
+    upward steps and skipped columns), so the division by the previous
+    pivot is exact, and with ``upward`` every pivot row ends up carrying
+    the last pivot.  With a prime ``p`` the arithmetic is mod p and the
+    division is a multiplication by the inverse.  Returns (pivot columns,
+    sign of the row permutation, last pivot).
+    """
+    nrows = len(a)
+    pivots: list[int] = []
+    sign = prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        k = next((i for i in range(r, nrows) if a[i][c]), None)
+        if k is None:
+            continue
+        if k != r:
+            a[r], a[k] = a[k], a[r]
+            sign = -sign
+        row = a[r]
+        piv = row[c]
+        if p is not None:
+            inv = pow(prev, -1, p)
+            g = piv * inv % p
+        # every row is rescaled, a zero in the pivot column included: the
+        # next exact division relies on it
+        for i in range(0 if upward else r + 1, nrows):
+            if i == r:
+                continue
+            x = a[i]
+            f = x[c]
+            lo = c if i > r else 0  # rows below are zero left of the pivot
+            if p is None:
+                x[lo:] = [(y * piv - f * z) // prev for y, z in zip(x[lo:], row[lo:])]
+            else:
+                h = f * inv % p
+                x[lo:] = [(y * g - h * z) % p for y, z in zip(x[lo:], row[lo:])]
+        pivots.append(c)
+        prev = piv
+    return pivots, sign, prev
+
+
+def _det_rows(a: list[list[int]], p: int | None = None) -> int:
+    """Determinant of square integer rows (consumed), mod p when given."""
+    pivots, sign, last = _bareiss(a, len(a), False, p)
+    if len(pivots) < len(a):
+        return 0
+    return sign * last if p is None else sign * last % p
+
+
+def _inverse_rows(a: list[list[int]], p: int | None = None):
+    """Eliminate [a | E] upward: (sign, last pivot d, d * a^-1), or None if a is singular.
+
+    d = sign * det(a), so sign * d * a^-1 is the adjugate.
+    """
+    n = len(a)
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    pivots, sign, last = _bareiss(aug, n, True, p)
+    if len(pivots) < n:
+        return None
+    return sign, last, [row[n:] for row in aug]
+
+
+def _adjugate_rows(a: list[list[int]], p: int | None = None) -> list[list[int]]:
+    """Adjugate of square integer rows, mod p when given; signed cofactors if singular."""
+    solved = _inverse_rows(a, p)
+    if solved is not None:
+        sign, _, right = solved
+        adj = [[sign * x for x in row] for row in right]
+    else:
+        n = len(a)
+        adj = [
+            [
+                (-1) ** (r + c) * _det_rows([row[:r] + row[r + 1:] for k, row in enumerate(a) if k != c], p)
+                for c in range(n)
+            ]
+            for r in range(n)
+        ]
+    return adj if p is None else [[x % p for x in row] for row in adj]
 
 
 def det(m: Matrix) -> Fraction:
-    """Exact determinant (fraction-free Bareiss, full pivot search)."""
+    """Exact determinant: sign * last Bareiss pivot / product of the row scales."""
     m._require_square()
-    n = m.nrows
-    if n == 0:
-        return Fraction(1)
-    a, scale = _integer_rows(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        pr = pc = -1
-        best = 0
-        for r in range(k, n):
-            for c in range(k, n):
-                v = a[r][c]
-                if v != 0 and (best == 0 or abs(v) > abs(best)):
-                    pr, pc, best = r, c, v
-        if best == 0:
-            return Fraction(0)
-        if pr != k:
-            a[k], a[pr] = a[pr], a[k]
-            sign = -sign
-        if pc != k:
-            for row in a:
-                row[k], row[pc] = row[pc], row[k]
-            sign = -sign
-        pivot = a[k][k]
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                a[r][c] = (a[r][c] * pivot - a[r][k] * a[k][c]) // prev
-        prev = pivot
-    return Fraction(sign * a[n - 1][n - 1]) / scale
+    a, scales = _integer_rows(m)
+    return Fraction(_det_rows(a), math.prod(scales))
 
 
 def adjugate(m: Matrix) -> Matrix:
     """Adjugate X* with X @ X* = X* @ X = det(X) * E, singular input included."""
     m._require_square()
-    n = m.nrows
-    all_rows = range(n)
-    adj = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        rows = [r for r in all_rows if r != i]
-        for j in range(n):
-            cols = [c for c in all_rows if c != j]
-            cof = det(m.submatrix(rows, cols))
-            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return Matrix(adj)
+    a, scales = _integer_rows(m)
+    adj = _adjugate_rows(a)
+    # m = D^-1 a for D = diag(scales), so adj(m) = adj(a) D / det(D)
+    total = math.prod(scales)
+    return Matrix([[Fraction(x * s, total) for x, s in zip(row, scales)] for row in adj])
 
 
 def _check_index_lists(m: Matrix, row_list: Sequence[int], col_list: Sequence[int]):
@@ -238,28 +298,6 @@ def minor(m: Matrix, row_list: Sequence[int], col_list: Sequence[int]) -> Fracti
     return det(m.submatrix([i - 1 for i in row_list], [j - 1 for j in col_list]))
 
 
-def _reduced_echelon(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    a = [list(row) for row in m.rows]
-    pivots = []
-    r = 0
-    for c in range(m.ncols):
-        pivot_row = next((i for i in range(r, m.nrows) if a[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m.nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m.nrows:
-            break
-    return a, pivots
-
-
 def rank(m: Matrix) -> int:
     """Exact rank over the rationals; a full residue rank mod P certifies it."""
     bound = min(m.nrows, m.ncols)
@@ -268,40 +306,33 @@ def rank(m: Matrix) -> int:
             return bound
     except ZeroDivisionError:
         pass  # a denominator divisible by P: no certificate
-    return len(_reduced_echelon(m)[1])
+    return len(_bareiss(_integer_rows(m)[0], m.ncols, False)[0])
 
 
 def nullspace_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     """Basis of {v : m @ v = 0}; one vector per free column, exact."""
-    rref, pivots = _reduced_echelon(m)
-    free = [c for c in range(m.ncols) if c not in pivots]
+    a = _integer_rows(m)[0]
+    pivots, _, last = _bareiss(a, m.ncols, True)
+    # every pivot row carries the last pivot: a[r][f] / last is the reduced echelon entry
     basis = []
-    for f in free:
+    for f in (c for c in range(m.ncols) if c not in pivots):
         v = [Fraction(0)] * m.ncols
         v[f] = Fraction(1)
         for row, p in enumerate(pivots):
-            v[p] = -rref[row][f]
+            v[p] = Fraction(-a[row][f], last)
         basis.append(tuple(v))
     return basis
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse via Gauss-Jordan elimination."""
+    """Exact inverse: m^-1 = (d * a^-1) D / d for m = D^-1 a, a an integer matrix."""
     m._require_square()
-    n = m.nrows
-    a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m.rows)]
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        a[c], a[pivot_row] = a[pivot_row], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return Matrix([row[n:] for row in a])
+    a, scales = _integer_rows(m)
+    solved = _inverse_rows(a)
+    if solved is None:
+        raise SingularMatrixError("matrix is singular")
+    _, last, right = solved
+    return Matrix([[Fraction(x * s, last) for x, s in zip(row, scales)] for row in right])
 
 
 def trace_product(a: Matrix, b: Matrix) -> Fraction:
@@ -340,78 +371,34 @@ def reduce_mod_p(m: Matrix) -> Residues:
     return out
 
 
+def _residue_rows(a: Residues) -> Residues:
+    """A reduced copy of a, for the in-place elimination."""
+    return [[x % P for x in row] for row in a]
+
+
 def rank_mod_p(a: Residues) -> int:
-    """Rank over GF(P) by forward elimination (a lower bound for the rank over Q)."""
-    rows = [list(row) for row in a if any(row)]
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r]
-        inv = pow(pivot[c], -1, P)
-        for i in range(r + 1, len(rows)):
-            f = rows[i][c]
-            if f:
-                f = f * inv % P
-                rows[i] = [(x - f * y) % P for x, y in zip(rows[i], pivot)]
-        r += 1
-        if r == len(rows):
-            break
-    return r
-
-
-def _det_inverse_mod_p(a: Residues) -> tuple[int, Residues | None]:
-    """(det a, a^-1) over GF(P) by Gauss-Jordan; the inverse is None when det is 0."""
-    n = len(a)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    d = 1
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot_row is None:
-            return 0, None
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            d = -d
-        d = d * m[c][c] % P
-        inv = pow(m[c][c], -1, P)
-        m[c] = [x * inv % P for x in m[c]]
-        for i in range(n):
-            f = m[i][c]
-            if i != c and f:
-                m[i] = [(x - f * y) % P for x, y in zip(m[i], m[c])]
-    return d % P, [row[n:] for row in m]
+    """Rank over GF(P) (a lower bound for the rank over Q)."""
+    return len(_bareiss(_residue_rows(a), len(a[0]) if a else 0, False, P)[0])
 
 
 def det_mod_p(a: Residues) -> int:
     """Determinant over GF(P)."""
-    return _det_inverse_mod_p(a)[0]
+    return _det_rows(_residue_rows(a), P)
 
 
 def inverse_mod_p(a: Residues) -> Residues:
     """Inverse over GF(P); SingularMatrixError if a is singular mod P."""
-    inv = _det_inverse_mod_p(a)[1]
-    if inv is None:
+    solved = _inverse_rows(_residue_rows(a), P)
+    if solved is None:
         raise SingularMatrixError("matrix is singular mod P")
-    return inv
+    _, last, right = solved
+    inv = pow(last, -1, P)
+    return [[x * inv % P for x in row] for row in right]
 
 
 def adjugate_mod_p(a: Residues) -> Residues:
-    """Adjugate over GF(P): det * inverse, or signed cofactors when singular mod P."""
-    d, inv = _det_inverse_mod_p(a)
-    if inv is not None:
-        return [[d * x % P for x in row] for row in inv]
-    n = len(a)
-    return [
-        [
-            (-1) ** (r + c)
-            * det_mod_p([row[:r] + row[r + 1:] for k, row in enumerate(a) if k != c])
-            % P
-            for c in range(n)
-        ]
-        for r in range(n)
-    ]
+    """Adjugate over GF(P), singular input included."""
+    return _adjugate_rows(_residue_rows(a), P)
 
 
 def _matmul_mod_p(a: Residues, b: Residues) -> Residues:

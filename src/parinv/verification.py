@@ -303,13 +303,14 @@ def check_monomial_restriction(shape: FlagShape, seed: int, points: int, bound: 
     """On the flattened slice every upper generator is its signed chain monomial."""
     sigma0 = set(index_set(shape).sigma0)
     gens0 = [g for g in build_generators(shape) if g.pair in sigma0]
+    signs = [s0_monomial_sign(shape, g.pair) for g in gens0]
     counterexample = None
     for t in range(points):
         rng = Rng(seed, _stream(_S_MONOMIAL, t))
         m = sample_slice(shape, rng, bound, variant="s0").matrix
-        for g in gens0:
+        for g, sign in zip(gens0, signs):
             got = eval_generator(g, m)
-            want = s0_monomial_value(shape, g.pair, m)
+            want = s0_monomial_value(sign, g.pair, m)
             if got != want:
                 counterexample = {
                     "trial": t,
@@ -358,6 +359,11 @@ def check_bruhat_containment(shape: FlagShape, seed: int, trials: int, bound: in
     )
 
 
+def _support(m: Matrix) -> set[tuple[int, int]]:
+    """1-based positions of the nonzero entries of m."""
+    return {(i, j) for i, row in enumerate(m.rows, 1) for j, x in enumerate(row, 1) if x != 0}
+
+
 def check_slice_support(shape: FlagShape, seed: int, samples: int, bound: int) -> CheckResult:
     """Sampled slice points stay on (and jointly cover) their support pattern."""
     problems = []
@@ -367,10 +373,7 @@ def check_slice_support(shape: FlagShape, seed: int, samples: int, bound: int) -
     n = shape.n
     for t in range(samples):
         rng = Rng(seed, _stream(_S_SLICE, t))
-        m = sample_slice(shape, rng, bound, variant="s").matrix
-        support = {
-            (i, j) for i in range(1, n + 1) for j in range(1, n + 1) if m.rows[i - 1][j - 1] != 0
-        }
+        support = _support(sample_slice(shape, rng, bound, variant="s").matrix)
         if not support <= pattern:
             problems.append(f"slice sample {t} leaves the support pattern")
         seen |= support
@@ -380,10 +383,7 @@ def check_slice_support(shape: FlagShape, seed: int, samples: int, bound: int) -
     for t in range(samples):
         rng = Rng(seed, _stream(_S_SLICE, 1000 + t))
         m = sample_slice(shape, rng, bound, variant="s0").matrix
-        support = {
-            (i, j) for i in range(1, n + 1) for j in range(1, n + 1) if m.rows[i - 1][j - 1] != 0
-        }
-        if not support <= pattern0:
+        if not _support(m) <= pattern0:
             problems.append(f"flattened slice sample {t} leaves the support pattern")
         if any(m.rows[i - 1][n - i] == 0 for i in range(1, n + 1)):
             problems.append(f"flattened slice sample {t} has a zero on the anti-diagonal chain")
@@ -391,14 +391,7 @@ def check_slice_support(shape: FlagShape, seed: int, samples: int, bound: int) -
         details["s_circ_sign"] = resolve_slice_sign(shape)
         for t in range(samples):
             rng = Rng(seed, _stream(_S_SLICE, 2000 + t))
-            m = sample_slice(shape, rng, bound, variant="s_circ").matrix
-            support = {
-                (i, j)
-                for i in range(1, n + 1)
-                for j in range(1, n + 1)
-                if m.rows[i - 1][j - 1] != 0
-            }
-            if not support <= pattern:
+            if not _support(sample_slice(shape, rng, bound, variant="s_circ").matrix) <= pattern:
                 problems.append(f"group slice sample {t} leaves the ambient support pattern")
     details["problems"] = problems
     return CheckResult("slice_support", not problems, details)

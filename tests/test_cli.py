@@ -46,10 +46,15 @@ def test_describe_sl2_drops_corner(capsys):
     assert [line["pair"] for line in lines] == [[2, 1], [2, 2]]
 
 
-def test_describe_invalid_shape(capsys):
+def test_describe_invalid_shape(tmp_path, capsys):
     code, _, err = run_cli(capsys, "describe", "--group", "sp", "--n", "7", "--parts", "1,2,1,2,1")
     assert code == 2
     assert "error" in err
+    # an --out path that cannot be written is a usage error too
+    out = str(tmp_path / "missing" / "x.jsonl")
+    code, _, err = run_cli(capsys, "describe", "--group", "gl", "--n", "3", "--parts", "1,2", "--out", out)
+    assert code == 2
+    assert "cannot write --out file" in err
 
 
 def test_eval_witness_matrix(tmp_path, capsys):

@@ -164,7 +164,7 @@ def test_monomial_restriction_on_flattened_slice():
     for t in range(10):
         m = sample_slice(GL5, Rng(55, t), 9, "s0").matrix
         for g in gens:
-            assert eval_generator(g, m) == s0_monomial_value(GL5, g.pair, m)
+            assert eval_generator(g, m) == s0_monomial_value(s0_monomial_sign(GL5, g.pair), g.pair, m)
 
 
 def test_pinned_sign_for_pair_2_3():

@@ -24,7 +24,13 @@ from parinv.linalg import (
 )
 from parinv.sampling import Rng
 
-from oracles import adjugate_cofactor, det_cofactor, minor_cofactor, rank_cofactor
+from oracles import (
+    adjugate_cofactor,
+    det_cofactor,
+    fraction_mod_p,
+    minor_cofactor,
+    rank_cofactor,
+)
 
 # the explicit 5x5 nonvanishing witness (anti-diagonal ones plus the
 # broken diagonal through (4, 4)); its determinant is 1
@@ -51,6 +57,19 @@ FIXED_5 = Matrix(
 
 def random_matrix(rng, n, bound=9):
     return Matrix([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
+
+
+def random_rationals(rng, nrows, ncols):
+    return Matrix([
+        [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(ncols)] for _ in range(nrows)
+    ])
+
+
+def low_rank(rng, nrows, ncols, r):
+    """A rational nrows x ncols matrix of rank at most r."""
+    if r == 0:
+        return Matrix.zeros(nrows, ncols)
+    return random_rationals(rng, nrows, r) @ random_rationals(rng, r, ncols)
 
 
 def test_det_identity():
@@ -112,6 +131,25 @@ def test_adjugate_fundamental_identity_incl_singular():
         scaled = Matrix.identity(n) * d
         assert m @ adj == scaled
         assert adj @ m == scaled
+    # rational matrices of every rank against the cofactor oracle: the
+    # adjugate has rank 1 at rank n - 1 and vanishes at rank n - 2 or less
+    ranks_seen = set()
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        m = low_rank(rng, n, n, rng.randint(0, n))
+        rows = [list(r) for r in m.rows]
+        adj = adjugate(m)
+        assert det(m) == det_cofactor(rows)
+        assert [list(r) for r in adj.rows] == adjugate_cofactor(rows)
+        deficit = n - rank_cofactor(m)
+        ranks_seen.add(min(deficit, 2))
+        if deficit == 1:
+            assert rank_cofactor(adj) == 1
+        elif deficit >= 2:
+            assert adj == Matrix.zeros(n, n)
+    assert ranks_seen == {0, 1, 2}
+    assert adjugate(Matrix([[0]])) == Matrix([[1]])
+    assert adjugate(Matrix([])) == Matrix([])
 
 
 def test_adjugate_of_witness_is_anti_triangular():
@@ -189,6 +227,12 @@ def test_rank_matches_enumeration_oracle_and_transpose():
         r = rank(m)
         assert r == rank_cofactor(m)
         assert r == rank(m.transpose())
+    for _ in range(30):  # rectangular rationals of every rank
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        m = low_rank(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
+        r = rank(m)
+        assert r == rank_cofactor(m)
+        assert r == rank(m.transpose())
 
 
 def test_rank_falls_back_when_residue_rank_is_short():
@@ -235,6 +279,27 @@ def test_residue_kernel_matches_reduced_exact_results():
             with pytest.raises(SingularMatrixError):
                 inverse_mod_p(a)
     assert singular_seen > 0
+    # small rationals plus multiples of P: the residues are those of the small
+    # matrix, whose minors are far below P, so they vanish mod P only when
+    # they vanish over Q
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        small = low_rank(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
+        m = Matrix([[x + P * rng.randint(-1, 1) for x in row] for row in small.rows])
+        a = reduce_mod_p(m)
+        assert a == reduce_mod_p(small)
+        assert rank(m) == rank_cofactor(m)
+        assert rank_mod_p(a) == rank_cofactor(small)
+        if nrows == ncols:
+            rows, small_rows = [list(r) for r in m.rows], [list(r) for r in small.rows]
+            assert det(m) == det_cofactor(rows)
+            assert [list(r) for r in adjugate(m).rows] == adjugate_cofactor(rows)
+            assert det_mod_p(a) == fraction_mod_p(det_cofactor(small_rows))
+            assert adjugate_mod_p(a) == [
+                [fraction_mod_p(x) for x in row] for row in adjugate_cofactor(small_rows)
+            ]
+    assert det_mod_p([[0]]) == 0 and adjugate_mod_p([[0]]) == [[1]]
+    assert det_mod_p([]) == 1 and adjugate_mod_p([]) == [] and rank_mod_p([]) == 0
 
 
 def test_nullspace_vectors_are_in_kernel():
@@ -245,6 +310,19 @@ def test_nullspace_vectors_are_in_kernel():
         assert len(basis) == 5 - rank(m)
         for v in basis:
             assert all(sum(row[k] * v[k] for k in range(5)) == 0 for row in m.rows)
+    for _ in range(30):
+        # rectangular rationals of every rank; column c is free when it does not
+        # raise the rank of the columns before it.  v[free] = e_f and m @ v = 0
+        # fix each reduced-echelon basis vector uniquely
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        m = low_rank(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
+        prefix_ranks = [rank_cofactor(m.submatrix(range(nrows), range(c))) for c in range(ncols + 1)]
+        free = [c for c in range(ncols) if prefix_ranks[c + 1] == prefix_ranks[c]]
+        basis = nullspace_basis(m)
+        assert len(basis) == len(free)
+        for f, v in zip(free, basis):
+            assert [v[c] for c in free] == [int(c == f) for c in free]
+            assert m @ Matrix([[x] for x in v]) == Matrix.zeros(nrows, 1)
 
 
 def test_inverse_roundtrip_and_singular():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -262,6 +263,20 @@ def test_run_suite_passes_and_is_byte_deterministic():
     names = [c["name"] for c in payload["checks"]]
     assert names == sorted(set(names), key=names.index)  # stable order, no dupes
     assert r1.duration_ms > 0
+
+
+# sha256 of the canonical reports of the acceptance shapes at seed 1, trials
+# 5 (one line each, newline-terminated), recorded before det, adjugate,
+# inverse, rank and nullspace moved onto one fraction-free elimination
+PINNED_REPORTS_SHA256 = "937923d6f7ed0f141d3a3f20f1d0ff95ed22c91ddf45f6d77bd334f5661372c8"
+
+
+def test_acceptance_reports_are_pinned():
+    text = "".join(
+        run_suite(make_shape(kind, n, parts), seed=1, trials=5).to_canonical_json() + "\n"
+        for kind, n, parts in ACCEPTANCE_SHAPES
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS_SHA256
 
 
 def test_run_suite_reports_slice_sign_for_osp():
