@@ -81,6 +81,11 @@ def build_generators(shape: FlagShape) -> tuple[Generator, ...]:
 def stacked_matrix(recipe: StackedRecipe, top, bottom, field: Field = QQ):
     """Assemble the recipe's rows from two sources, columns restricted."""
     cols0 = [c - 1 for c in recipe.cols]
+    if field is QQ:  # stays on the integer numerators, without building Fractions
+        return Matrix.from_blocks([
+            [top.submatrix([r - 1 for r in recipe.x_rows], cols0)],
+            [bottom.submatrix([r - 1 for r in recipe.adj_rows], cols0)],
+        ])
     top, bottom = field.rows(top), field.rows(bottom)
     rows = [[top[r - 1][c] for c in cols0] for r in recipe.x_rows]
     rows += [[bottom[r - 1][c] for c in cols0] for r in recipe.adj_rows]
@@ -112,33 +117,34 @@ def nonvanishing_witness(shape: FlagShape, pair: IndexPair) -> Matrix:
     """
     n = shape.n
     i, j = pair
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for s in range(1, n + 1):
-        rows[s - 1][n - s] = Fraction(1)
+        rows[s - 1][n - s] = 1
     if i + j > n + 1:
         for k in range(0, n - i + 1):
-            rows[i + k - 1][j - k - 1] = Fraction(1)
+            rows[i + k - 1][j - k - 1] = 1
     else:
-        rows[i - 1][j - 1] = Fraction(1)
+        rows[i - 1][j - 1] = 1
     return Matrix(rows)
 
 
-def s0_monomial_sign(shape: FlagShape, pair: IndexPair) -> int:
-    """Sign of the restriction to the flattened slice S0.
+def s0_monomial_sign(shape: FlagShape, gen: Generator) -> int:
+    """Sign of the generator's restriction to the flattened slice S0.
 
     On S0 a generator above the anti-diagonal collapses to
     sign * s_{n,1} s_{n-1,2} ... s_{j'+1,j-1} s_{ij}; evaluating at the
     indicator point with ones on exactly those positions isolates the sign.
+    ``gen`` is the generator of its pair in ``build_generators``.
     """
     n = shape.n
+    pair = gen.pair
     i, j = pair
     if i + j > n + 1:
         raise ShapeError(f"pair {pair} is below the anti-diagonal")
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for t in range(1, j):
-        rows[n - t][t - 1] = Fraction(1)
-    rows[i - 1][j - 1] = Fraction(1)
-    gen = next(g for g in build_generators(shape.as_gl()) if g.pair == pair)
+        rows[n - t][t - 1] = 1
+    rows[i - 1][j - 1] = 1
     value = eval_generator(gen, Matrix(rows))
     if value * value != 1:
         raise AssertionError(f"indicator evaluation should be a sign, got {value}")
@@ -148,7 +154,7 @@ def s0_monomial_sign(shape: FlagShape, pair: IndexPair) -> int:
 def s0_monomial_value(sign: int, pair: IndexPair, point: Matrix) -> Fraction:
     """The monomial the pair's generator equals on the slice S0, times its sign.
 
-    ``sign`` is ``s0_monomial_sign(shape, pair)``, computed once per pair.
+    ``sign`` is ``s0_monomial_sign(shape, gen)``, computed once per generator.
     """
     n = point.nrows
     i, j = pair

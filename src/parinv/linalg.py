@@ -1,16 +1,25 @@
 """Exact dense linear algebra over arbitrary-precision rationals.
 
-Scalars are ``fractions.Fraction`` (always lowest terms, positive
-denominator, no rounding ever).  Matrices are immutable.  Every
-determinant, adjugate, inverse, rank and nullspace, over Q and mod P, is
-read off one fraction-free Bareiss Gauss-Jordan elimination
+A ``Matrix`` holds integer numerator rows ``num`` over one positive
+denominator ``den``, with gcd(den, every entry) = 1, so (num, den) is
+canonical and equality and hashing compare integers.  Arithmetic
+(``+``, ``-``, scalar ``*``, ``@``, transposes, submatrices, blocks,
+traces) runs on the integers; the ``fractions.Fraction`` entries
+(``rows``) are built on first access and cached, for JSON and for
+callers that read entries.  Scalars returned (determinants, minors,
+traces) are Fractions.  This is the common-denominator form of rational
+matrices (FLINT's ``fmpq_mat`` to ``fmpz_mat``).
+
+Every determinant, adjugate, inverse, rank and nullspace, over Q and
+mod P, is read off one fraction-free Bareiss Gauss-Jordan elimination
 (``_bareiss``).  Over Q it runs on integer rows, each row cleared of
-denominators by its own scale.  A regular matrix's adjugate and inverse
-come from eliminating [X | E]; a singular matrix's adjugate falls back
-to signed cofactors.
+the denominator by its own scale den / gcd(den, row), the lcm of the
+row's lowest-terms denominators.  A regular matrix's adjugate and
+inverse come from eliminating [X | E]; a singular matrix's adjugate
+falls back to signed cofactors.
 
 Ranks are certified modulo the fixed prime P = 2^61 - 1.  Reducing a
-rational matrix mod P (possible when no denominator is divisible by P)
+rational matrix mod P (possible when P does not divide its denominator)
 maps every minor to its residue, so rank mod P <= rank over Q.  A residue
 rank is therefore accepted only when it meets a proven upper bound on the
 rational rank: min(rows, cols), or, for the orthogonal/symplectic tangent
@@ -47,46 +56,80 @@ def _to_fraction(value) -> Fraction:
     raise TypeError(f"exact scalar expected (int, Fraction or string), got {type(value).__name__}")
 
 
-class Matrix:
-    """Immutable dense matrix of Fractions."""
+_set = object.__setattr__
 
-    __slots__ = ("rows", "nrows", "ncols")
+
+def _fill(m: "Matrix", num: Sequence[Sequence[int]], den: int) -> "Matrix":
+    _set(m, "num", tuple(map(tuple, num)))
+    _set(m, "den", den)
+    _set(m, "nrows", len(num))
+    _set(m, "ncols", len(num[0]) if num else 0)
+    _set(m, "_rows", None)
+    return m
+
+
+def _make(num: Sequence[Sequence[int]], den: int) -> "Matrix":
+    """The Matrix num / den (den > 0), reduced to its canonical form."""
+    if den != 1:
+        g = math.gcd(den, *(x for row in num for x in row))
+        if g != 1:
+            num = [[x // g for x in row] for row in num]
+            den //= g
+    return _fill(object.__new__(Matrix), num, den)
+
+
+class Matrix:
+    """Immutable dense rational matrix: integer rows ``num`` over one denominator ``den``."""
+
+    __slots__ = ("num", "den", "nrows", "ncols", "_rows")
 
     def __init__(self, rows: Sequence[Sequence]):
-        data = tuple(tuple(_to_fraction(x) for x in row) for row in rows)
+        data = [[x if type(x) is int else _to_fraction(x) for x in row] for row in rows]
         if data and any(len(row) != len(data[0]) for row in data):
             raise DimensionError("all rows must have the same length")
-        object.__setattr__(self, "rows", data)
-        object.__setattr__(self, "nrows", len(data))
-        object.__setattr__(self, "ncols", len(data[0]) if data else 0)
+        # entries in lowest terms over the lcm of their denominators: the gcd is already 1
+        den = math.lcm(*(x.denominator for row in data for x in row))
+        _fill(self, [[x.numerator * (den // x.denominator) for x in row] for row in data], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions in lowest terms (built once, then cached)."""
+        if self._rows is None:
+            den = self.den
+            _set(self, "_rows", tuple(tuple(Fraction(x, den) for x in row) for row in self.num))
+        return self._rows
+
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return _make([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[Fraction(0)] * ncols for _ in range(nrows)])
+        return _make([[0] * ncols for _ in range(nrows)], 1)
 
     @classmethod
     def unit(cls, n: int, i: int, j: int) -> "Matrix":
         """Matrix unit E_ij (1-based indices)."""
-        return cls([[Fraction(int(r == i - 1 and c == j - 1)) for c in range(n)] for r in range(n)])
+        return _make([[int(r == i - 1 and c == j - 1) for c in range(n)] for r in range(n)], 1)
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence["Matrix"]]) -> "Matrix":
         """Assemble a matrix from a grid of blocks (row sizes must agree)."""
-        rows = []
+        den = math.lcm(*(b.den for block_row in blocks for b in block_row))
+        num = []
         for block_row in blocks:
             heights = {b.nrows for b in block_row}
             if len(heights) != 1:
                 raise DimensionError("blocks in a row must have equal height")
+            scaled = [(b.num, den // b.den) for b in block_row]
             for r in range(heights.pop()):
-                rows.append([x for b in block_row for x in b.rows[r]])
-        return cls(rows)
+                num.append([x * s for rows, s in scaled for x in rows[r]])
+        if num and any(len(row) != len(num[0]) for row in num):
+            raise DimensionError("all rows must have the same length")
+        return _make(num, den)
 
     @property
     def is_square(self) -> bool:
@@ -96,29 +139,41 @@ class Matrix:
         return self.rows[index]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.rows == other.rows
+        if not isinstance(other, Matrix):
+            return False
+        return (self.ncols, self.den, self.num) == (other.ncols, other.den, other.num)
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self.ncols, self.den, self.num))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _common(self, other: "Matrix"):
+        """Both numerators over lcm(den, other.den), and that denominator."""
         self._require_same_shape(other)
-        return Matrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        a = self.num if s == 1 else [[x * s for x in row] for row in self.num]
+        b = other.num if t == 1 else [[x * t for x in row] for row in other.num]
+        return a, b, den
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        a, b, den = self._common(other)
+        return _make([list(map(operator.add, r1, r2)) for r1, r2 in zip(a, b)], den)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._require_same_shape(other)
-        return Matrix([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        a, b, den = self._common(other)
+        return _make([list(map(operator.sub, r1, r2)) for r1, r2 in zip(a, b)], den)
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.rows])
+        return _make([[-x for x in row] for row in self.num], self.den)
 
     def __mul__(self, scalar) -> "Matrix":
         s = _to_fraction(scalar)
-        return Matrix([[a * s for a in row] for row in self.rows])
+        p = s.numerator
+        return _make([[x * p for x in row] for row in self.num], self.den * s.denominator)
 
     __rmul__ = __mul__
 
@@ -127,28 +182,31 @@ class Matrix:
             raise DimensionError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
         # only the nonzero entries of other are multiplied: Lie basis elements,
         # matrix units and unipotent factors are mostly zero
-        cols = [[(k, b) for k, b in enumerate(col) if b] for col in zip(*other.rows)]
-        zero = Fraction(0)
-        return Matrix([[sum((row[k] * b for k, b in col), zero) for col in cols] for row in self.rows])
+        cols = [[(k, b) for k, b in enumerate(col) if b] for col in zip(*other.num)]
+        return _make(
+            [[sum([row[k] * b for k, b in col]) for col in cols] for row in self.num],
+            self.den * other.den,
+        )
 
     def transpose(self) -> "Matrix":
-        if not self.rows:
+        if not self.nrows:
             return self
-        return Matrix(list(zip(*self.rows)))
+        return _make(list(zip(*self.num)), self.den)
 
     def anti_transpose(self) -> "Matrix":
         """Transpose across the anti-diagonal: (i, j) -> (j', i')."""
         self._require_square()
-        n = self.nrows
-        return Matrix([[self.rows[n - 1 - c][n - 1 - r] for c in range(n)] for r in range(n)])
+        n, num = self.nrows, self.num
+        return _make([[num[n - 1 - c][n - 1 - r] for c in range(n)] for r in range(n)], self.den)
 
     def trace(self) -> Fraction:
         self._require_square()
-        return sum((self.rows[i][i] for i in range(self.nrows)), Fraction(0))
+        return Fraction(sum(self.num[i][i] for i in range(self.nrows)), self.den)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         """Submatrix by 0-based index lists, taken in the listed order."""
-        return Matrix([[self.rows[r][c] for c in col_idx] for r in row_idx])
+        num = self.num
+        return _make([[num[r][c] for c in col_idx] for r in row_idx], self.den)
 
     def _require_square(self):
         if not self.is_square:
@@ -160,15 +218,18 @@ class Matrix:
 
 
 def _integer_rows(m: Matrix) -> tuple[list[list[int]], list[int]]:
-    """Clear denominators row by row: row i of m is row i of the result / scales[i]."""
+    """Clear the denominator row by row: row i of m is row i of the result / scales[i].
+
+    scales[i] = den / gcd(den, row i), the lcm of the row's lowest-terms
+    denominators, so each integer row is as small as it can be.
+    """
+    den = m.den
     rows = []
     scales = []
-    for row in m.rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        rows.append([x.numerator * (den // x.denominator) for x in row])
-        scales.append(den)
+    for row in m.num:
+        g = math.gcd(den, *row)
+        rows.append([x // g for x in row] if g != 1 else list(row))
+        scales.append(den // g)
     return rows, scales
 
 
@@ -274,8 +335,7 @@ def adjugate(m: Matrix) -> Matrix:
     a, scales = _integer_rows(m)
     adj = _adjugate_rows(a)
     # m = D^-1 a for D = diag(scales), so adj(m) = adj(a) D / det(D)
-    total = math.prod(scales)
-    return Matrix([[Fraction(x * s, total) for x, s in zip(row, scales)] for row in adj])
+    return _make([[x * s for x, s in zip(row, scales)] for row in adj], math.prod(scales))
 
 
 def _check_index_lists(m: Matrix, row_list: Sequence[int], col_list: Sequence[int]):
@@ -332,17 +392,17 @@ def inverse(m: Matrix) -> Matrix:
     if solved is None:
         raise SingularMatrixError("matrix is singular")
     _, last, right = solved
-    return Matrix([[Fraction(x * s, last) for x, s in zip(row, scales)] for row in right])
+    if last < 0:
+        last, right = -last, [[-x for x in row] for row in right]
+    return _make([[x * s for x, s in zip(row, scales)] for row in right], last)
 
 
 def trace_product(a: Matrix, b: Matrix) -> Fraction:
     """trace(a @ b) without forming the product."""
     if a.ncols != b.nrows or a.nrows != b.ncols:
         raise DimensionError("trace(a @ b) needs compatible shapes")
-    return sum(
-        (a.rows[i][k] * b.rows[k][i] for i in range(a.nrows) for k in range(a.ncols)),
-        Fraction(0),
-    )
+    total = sum(sum(map(operator.mul, row, col)) for row, col in zip(a.num, zip(*b.num)))
+    return Fraction(total, a.den * b.den)
 
 
 P = (1 << 61) - 1  # the Mersenne prime of every residue certificate
@@ -351,24 +411,17 @@ Residues = list[list[int]]  # a matrix mod P: rows of ints in [0, P)
 
 
 def reduce_mod_p(m: Matrix) -> Residues:
-    """Entries of m mod P; ZeroDivisionError if a denominator is divisible by P."""
-    inverses: dict[int, int] = {}
-    out = []
-    for row in m.rows:
-        out_row = []
-        for x in row:
-            den = x.denominator
-            if den == 1:
-                out_row.append(x.numerator % P)
-                continue
-            inv = inverses.get(den)
-            if inv is None:
-                if den % P == 0:
-                    raise ZeroDivisionError("denominator divisible by P")
-                inv = inverses[den] = pow(den, -1, P)
-            out_row.append(x.numerator * inv % P)
-        out.append(out_row)
-    return out
+    """Entries of m mod P; ZeroDivisionError if a denominator is divisible by P.
+
+    P divides the common denominator exactly when it divides some entry's
+    lowest-terms denominator.
+    """
+    if m.den == 1:
+        return [[x % P for x in row] for row in m.num]
+    if m.den % P == 0:
+        raise ZeroDivisionError("denominator divisible by P")
+    inv = pow(m.den, -1, P)
+    return [[x * inv % P for x in row] for row in m.num]
 
 
 def _residue_rows(a: Residues) -> Residues:

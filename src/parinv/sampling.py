@@ -13,9 +13,14 @@ Orthogonal/symplectic group points come from the Cayley transform
 g = (E - A)(E + A)^-1 of exact form-skew matrices A, which stays inside
 the identity component; the form-preserving swap of coordinates 1 and n
 (determinant -1) is available to reach the second orthogonal component.
+Points are assembled on integers: a Lie element adds only the nonzero
+entries of its basis elements, and the form equation is checked on the
+integer numerators of the point.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -74,16 +79,16 @@ class Rng:
 
 def anti_identity(n: int) -> Matrix:
     """Ones on the anti-diagonal, zeros elsewhere."""
-    return Matrix([[Fraction(int(r + c == n - 1)) for c in range(n)] for r in range(n)])
+    return Matrix([[int(r + c == n - 1) for c in range(n)] for r in range(n)])
 
 
 def symplectic_form(n: int) -> Matrix:
     """The 2m x 2m form [[0, -I~], [I~, 0]] built from anti-identity blocks."""
     if n % 2 != 0:
         raise ShapeError(f"symplectic form needs even size, got {n}")
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for r in range(n):
-        rows[r][n - 1 - r] = Fraction(-1) if r < n // 2 else Fraction(1)
+        rows[r][n - 1 - r] = -1 if r < n // 2 else 1
     return Matrix(rows)
 
 
@@ -104,8 +109,16 @@ def defining_equation_holds(kind: GroupKind, m: Matrix) -> bool:
         return det(m) != 0
     if kind is GroupKind.SL:
         return det(m) == 1
-    f = form_matrix(kind, m.nrows)
-    return m.transpose() @ f @ m == f
+    f = form_matrix(kind, m.nrows).num
+    # f is a signed permutation, so f M is M's rows permuted and signed; with
+    # m = M / d, m^t f m = f exactly when M^t (f M) = d^2 f, entry by entry
+    fm_cols = list(zip(*([s * x for x in m.num[c]] for row in f for c, s in enumerate(row) if s)))
+    d2 = m.den * m.den
+    return all(
+        sum(map(operator.mul, col, fm_col)) == d2 * f[i][j]
+        for i, col in enumerate(zip(*m.num))
+        for j, fm_col in enumerate(fm_cols)
+    )
 
 
 @dataclass(frozen=True)
@@ -130,13 +143,16 @@ def swap_matrix(n: int) -> Matrix:
     """Permutation swapping coordinates 1 and n; preserves the O(n) form, det -1."""
     perm = list(range(n))
     perm[0], perm[n - 1] = perm[n - 1], perm[0]
-    return Matrix([[Fraction(int(perm[r] == c)) for c in range(n)] for r in range(n)])
+    return Matrix([[int(perm[r] == c) for c in range(n)] for r in range(n)])
 
 
 def cayley(a: Matrix) -> Matrix:
-    """Cayley transform (E - A)(E + A)^-1; raises SingularMatrixError if E + A is singular."""
+    """Cayley transform (E - A)(E + A)^-1; raises SingularMatrixError if E + A is singular.
+
+    Computed as 2 (E + A)^-1 - E, the same matrix: E - A = 2E - (E + A).
+    """
     e = Matrix.identity(a.nrows)
-    return (e - a) @ inverse(e + a)
+    return inverse(e + a) * 2 - e
 
 
 def _strict_upper_positions(shape: FlagShape) -> list[tuple[int, int]]:
@@ -176,24 +192,24 @@ def lie_algebra_basis(shape: FlagShape, which: str = "group") -> tuple[Matrix, .
         if which == "radical"
         else [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     )
-    f = form_matrix(shape.kind, n)
+    f = form_matrix(shape.kind, n).num  # an integer matrix
     # rows: the n^2 entries of A^t F + F A; columns: the allowed positions
     constraints = []
     for r in range(1, n + 1):
         for c in range(1, n + 1):
             row = []
             for (i, j) in positions:
-                coeff = Fraction(0)
+                coeff = 0
                 # (A^t F)_{rc} picks A_{i r} F_{i c}; (F A)_{rc} picks F_{r i} A_{i c}
                 if j == r:
-                    coeff += f.rows[i - 1][c - 1]
+                    coeff += f[i - 1][c - 1]
                 if j == c:
-                    coeff += f.rows[r - 1][i - 1]
+                    coeff += f[r - 1][i - 1]
                 row.append(coeff)
             constraints.append(row)
     basis = []
     for vec in nullspace_basis(Matrix(constraints)):
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for (i, j), v in zip(positions, vec):
             rows[i - 1][j - 1] = v
         basis.append(Matrix(rows))
@@ -201,28 +217,28 @@ def lie_algebra_basis(shape: FlagShape, which: str = "group") -> tuple[Matrix, .
 
 
 def _random_matrix(rng: Rng, nrows: int, ncols: int, bound: int) -> Matrix:
-    return Matrix([[Fraction(rng.randint(-bound, bound)) for _ in range(ncols)] for _ in range(nrows)])
+    return Matrix([[rng.randint(-bound, bound) for _ in range(ncols)] for _ in range(nrows)])
 
 
 def _gl_unipotent(shape: FlagShape, rng: Rng, bound: int) -> Matrix:
-    rows = [[Fraction(int(r == c)) for c in range(shape.n)] for r in range(shape.n)]
+    rows = [[int(r == c) for c in range(shape.n)] for r in range(shape.n)]
     for (i, j) in _strict_upper_positions(shape):
-        rows[i - 1][j - 1] = Fraction(rng.randint(-bound, bound))
+        rows[i - 1][j - 1] = rng.randint(-bound, bound)
     return Matrix(rows)
 
 
 def _constrained_block(n0: int, kind: GroupKind, rng: Rng, bound: int) -> Matrix:
     """B with B^sigma = -B (orthogonal) or B^sigma = B (symplectic)."""
-    rows = [[Fraction(0)] * n0 for _ in range(n0)]
+    rows = [[0] * n0 for _ in range(n0)]
     for i in range(1, n0 + 1):
         for j in range(1, n0 + 1):
             pi, pj = n0 + 1 - j, n0 + 1 - i  # anti-transpose partner
             if (i, j) == (pi, pj):
                 if kind is GroupKind.SP:
-                    rows[i - 1][j - 1] = Fraction(rng.randint(-bound, bound))
+                    rows[i - 1][j - 1] = rng.randint(-bound, bound)
                 continue
             if (i, j) < (pi, pj):
-                v = Fraction(rng.randint(-bound, bound))
+                v = rng.randint(-bound, bound)
                 rows[i - 1][j - 1] = v
                 rows[pi - 1][pj - 1] = -v if kind is GroupKind.O else v
     return Matrix(rows)
@@ -280,16 +296,32 @@ def sample_unipotent_radical(shape: FlagShape, rng: Rng, bound: int = 10) -> Gro
     b = _constrained_block(shape.N0, shape.kind, rng, bound)
     v = _random_matrix(rng, shape.N0, shape.n0, bound) if shape.ell % 2 == 1 else None
     g = _assemble_radical(shape, a, b, v)
-    if not defining_equation_holds(shape.kind, g):
-        raise InternalConsistencyError("assembled radical element fails the form equation")
-    return GroupPoint(shape, g)
+    try:
+        return GroupPoint(shape, g)
+    except GroupMembershipError as exc:
+        raise InternalConsistencyError("assembled radical element fails the form equation") from exc
+
+
+@lru_cache(maxsize=None)
+def _sparse_group_basis(shape: FlagShape) -> tuple[int, tuple[tuple[tuple[int, int, int], ...], ...]]:
+    """The group's Lie basis as (common denominator, nonzero (i, j, numerator) entries per element)."""
+    basis = lie_algebra_basis(shape, "group")
+    den = math.lcm(*(b.den for b in basis))
+    return den, tuple(
+        tuple((i, j, x * (den // b.den)) for i, row in enumerate(b.num) for j, x in enumerate(row) if x)
+        for b in basis
+    )
 
 
 def _random_lie_element(shape: FlagShape, rng: Rng, bound: int) -> Matrix:
-    total = Matrix.zeros(shape.n, shape.n)
-    for base in lie_algebra_basis(shape, "group"):
-        total = total + base * Fraction(rng.randint(-bound, bound))
-    return total
+    """Sum of c * basis element, one draw c per element in basis order."""
+    den, elements = _sparse_group_basis(shape)
+    total = [[0] * shape.n for _ in range(shape.n)]
+    for entries in elements:
+        c = rng.randint(-bound, bound)
+        for i, j, x in entries:
+            total[i][j] += x * c
+    return Matrix(total) * Fraction(1, den)
 
 
 def sample_group_point(
@@ -311,7 +343,7 @@ def sample_group_point(
             if d == 0:
                 continue
             if shape.kind is GroupKind.SL:
-                m = Matrix([[x / d for x in m.rows[0]]] + [list(r) for r in m.rows[1:]])
+                m = Matrix([[x / d for x in m.num[0]]] + list(m.num[1:]))
             return GroupPoint(shape, m)
         try:
             g = cayley(_random_lie_element(shape, rng, bound))
@@ -348,7 +380,7 @@ def resolve_slice_sign(shape: FlagShape) -> int:
 
 def _random_block_upper(shape0: FlagShape, rng: Rng, bound: int, max_attempts: int = 64) -> Matrix:
     """Random invertible block-upper element of the GL(N0) parabolic."""
-    rows = [[Fraction(0)] * shape0.n for _ in range(shape0.n)]
+    rows = [[0] * shape0.n for _ in range(shape0.n)]
     for seg in shape0.segments:
         for _ in range(max_attempts):
             block = _random_matrix(rng, len(seg), len(seg), bound)
@@ -358,9 +390,9 @@ def _random_block_upper(shape0: FlagShape, rng: Rng, bound: int, max_attempts: i
             raise SamplingError("no invertible diagonal block found")
         for r, i in enumerate(seg):
             for c, j in enumerate(seg):
-                rows[i - 1][j - 1] = block.rows[r][c]
+                rows[i - 1][j - 1] = block.num[r][c]
     for (i, j) in _strict_upper_positions(shape0):
-        rows[i - 1][j - 1] = Fraction(rng.randint(-bound, bound))
+        rows[i - 1][j - 1] = rng.randint(-bound, bound)
     return Matrix(rows)
 
 
@@ -373,7 +405,7 @@ def _osp_slice(shape: FlagShape, rng: Rng, bound: int, sign: int) -> Matrix:
     a = _random_block_upper(_sub_parabolic_shape(shape), rng, bound)
     b = _constrained_block(big_n0, shape.kind, rng, bound)
     a_sigma_inv = inverse(a.anti_transpose())
-    top_right = (i0 @ a_sigma_inv) * Fraction(sign)
+    top_right = (i0 @ a_sigma_inv) * sign
     bottom_left = i0 @ a
     if shape.ell % 2 == 0:
         zero = Matrix.zeros(big_n0, big_n0)
@@ -414,26 +446,27 @@ def sample_slice(
     if variant == "s":
         pattern = slice_pattern(shape, "s")
         for _ in range(max_attempts):
-            rows = [[Fraction(0)] * n for _ in range(n)]
+            rows = [[0] * n for _ in range(n)]
             for (i, j) in pattern:
-                rows[i - 1][j - 1] = Fraction(rng.randint(-bound, bound))
+                rows[i - 1][j - 1] = rng.randint(-bound, bound)
             m = Matrix(rows)
             if det(m) != 0:
                 return GroupPoint(shape.as_gl(), m)
         raise SamplingError(f"no invertible slice point within {max_attempts} attempts")
     if variant == "s0":
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for (i, j) in slice_pattern(shape, "s0"):
-            rows[i - 1][j - 1] = Fraction(rng.randint(-bound, bound))
+            rows[i - 1][j - 1] = rng.randint(-bound, bound)
         for i in range(1, n + 1):  # the anti-diagonal chain must not vanish
-            rows[i - 1][n - i] = Fraction(rng.nonzero_int(bound))
+            rows[i - 1][n - i] = rng.nonzero_int(bound)
         return GroupPoint(shape.as_gl(), Matrix(rows))
     if variant == "s_circ":
         if shape.kind not in (GroupKind.O, GroupKind.SP):
             raise ShapeError("the group slice exists only for orthogonal/symplectic kinds")
         sign = resolve_slice_sign(shape)
         g = _osp_slice(shape, rng, bound, sign)
-        if not defining_equation_holds(shape.kind, g):
-            raise InternalConsistencyError("slice sample fails the form equation")
-        return GroupPoint(shape, g)
+        try:
+            return GroupPoint(shape, g)
+        except GroupMembershipError as exc:
+            raise InternalConsistencyError("slice sample fails the form equation") from exc
     raise ValueError(f"unknown slice variant {variant!r}")

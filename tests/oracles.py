@@ -3,11 +3,13 @@
 Deliberately naive and separate from the library's elimination-based
 paths; works over any commutative ring.
 """
+import math
 from fractions import Fraction
 from itertools import combinations
 
 from parinv.generators_gl import MinorRecipe, RatioRecipe, StackedRecipe
 from parinv.linalg import P, Matrix
+from parinv.sampling import form_matrix
 
 
 def det_cofactor(rows):
@@ -91,3 +93,22 @@ def derivative_at_zero(nodes, vals):
 def fraction_mod_p(x: Fraction) -> int:
     """The residue of a rational mod P (its denominator must be prime to P)."""
     return x.numerator * pow(x.denominator, -1, P) % P
+
+
+def integer_rows_lcm(m: Matrix):
+    """Rows cleared of denominators by the lcm of each row's lowest-terms denominators."""
+    rows = []
+    scales = []
+    for row in m.rows:
+        den = 1
+        for x in row:
+            den = den * x.denominator // math.gcd(den, x.denominator)
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+        scales.append(den)
+    return rows, scales
+
+
+def form_equation_by_product(kind, m: Matrix) -> bool:
+    """m^t f m == f for the group's form f, by two matrix products."""
+    f = form_matrix(kind, m.nrows)
+    return m.transpose() @ f @ m == f

@@ -93,7 +93,7 @@ def test_criterion_2_monomial_restriction():
         j23 = next(g for g in gens0 if g.pair == IndexPair(2, 3))
         ok = ok and eval_generator(j23, m) == -(m.rows[4][0] * m.rows[3][1] * m.rows[1][2])
         for g in gens0:
-            ok = ok and eval_generator(g, m) == s0_monomial_value(s0_monomial_sign(GL5, g.pair), g.pair, m)
+            ok = ok and eval_generator(g, m) == s0_monomial_value(s0_monomial_sign(GL5, g), g.pair, m)
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 5.0
     _report(2, "monomial restriction on the flattened slice", ok, elapsed)

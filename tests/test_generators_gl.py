@@ -164,14 +164,14 @@ def test_monomial_restriction_on_flattened_slice():
     for t in range(10):
         m = sample_slice(GL5, Rng(55, t), 9, "s0").matrix
         for g in gens:
-            assert eval_generator(g, m) == s0_monomial_value(s0_monomial_sign(GL5, g.pair), g.pair, m)
+            assert eval_generator(g, m) == s0_monomial_value(s0_monomial_sign(GL5, g), g.pair, m)
 
 
 def test_pinned_sign_for_pair_2_3():
-    assert s0_monomial_sign(GL5, IndexPair(2, 3)) == -1
+    gens = {tuple(g.pair): g for g in build_generators(GL5)}
+    assert s0_monomial_sign(GL5, gens[(2, 3)]) == -1
     # J(2,3) restricted to S0 is -s51 * s42 * s23
     m = sample_slice(GL5, Rng(56), 9, "s0").matrix
-    gens = {tuple(g.pair): g for g in build_generators(GL5)}
     expected = -m.rows[4][0] * m.rows[3][1] * m.rows[1][2]
     assert eval_generator(gens[(2, 3)], m) == expected
 
@@ -184,12 +184,12 @@ def test_monomial_signs_match_independent_indicator_oracle():
         indicator[pair.i - 1][pair.j - 1] = Fraction(1)
         gen = next(g for g in build_generators(GL5) if g.pair == pair)
         oracle_sign = eval_descriptor_cofactor(gen, Matrix(indicator))
-        assert s0_monomial_sign(GL5, pair) == oracle_sign
+        assert s0_monomial_sign(GL5, gen) == oracle_sign
 
 
 def test_s0_sign_rejects_lower_pairs():
     with pytest.raises(ShapeError):
-        s0_monomial_sign(GL5, IndexPair(5, 5))
+        s0_monomial_sign(GL5, next(g for g in build_generators(GL5) if g.pair == IndexPair(5, 5)))
 
 
 def test_dual_eval_matches_cofactor_dual_oracle():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from parinv.linalg import (
     DimensionError,
     Matrix,
     SingularMatrixError,
+    _integer_rows,
     adjugate,
     adjugate_mod_p,
     det,
@@ -28,6 +30,7 @@ from oracles import (
     adjugate_cofactor,
     det_cofactor,
     fraction_mod_p,
+    integer_rows_lcm,
     minor_cofactor,
     rank_cofactor,
 )
@@ -359,3 +362,74 @@ def test_matrix_json_roundtrip():
 def test_matmul_dimension_error():
     with pytest.raises(DimensionError):
         Matrix.identity(2) @ Matrix.identity(3)
+
+
+def random_fractions(rng, nrows, ncols):
+    """Rationals with varied denominators, zeros and integers among them."""
+    return [
+        [Fraction(rng.randint(-40, 40), rng.randint(1, 36)) for _ in range(ncols)] for _ in range(nrows)
+    ]
+
+
+def test_matrix_is_integer_rows_over_one_canonical_denominator():
+    rng = Rng(61)
+    for _ in range(40):
+        rows = random_fractions(rng, rng.randint(1, 5), rng.randint(1, 5))
+        m = Matrix(rows)
+        assert m.rows == tuple(tuple(row) for row in rows)  # lowest terms, as given
+        assert m.den > 0 and math.gcd(m.den, *(x for row in m.num for x in row)) == 1
+        assert m.num == tuple(tuple(x * m.den for x in row) for row in m.rows)
+        assert all(type(x) is int for row in m.num for x in row)
+    assert Matrix([[0, 0]]).den == 1
+    assert Matrix([["3/6", "-1/3"]]).num == ((3, -2),) and Matrix([["3/6", "-1/3"]]).den == 6
+
+
+def test_equal_matrices_from_different_routes_compare_and_hash_equal():
+    rng = Rng(62)
+    for _ in range(20):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        a = Matrix(random_fractions(rng, nrows, ncols))
+        routes = [
+            (a * 2) * Fraction(1, 2),
+            Fraction(1, 3) * (a * 3),
+            a + Matrix.zeros(nrows, ncols),
+            -(-a),
+            a.transpose().transpose(),
+            (a @ Matrix.identity(ncols)),
+            Matrix(matrix_to_json(a)),
+        ]
+        for b in routes:
+            assert b == a and hash(b) == hash(a)
+            assert (b.num, b.den) == (a.num, a.den)
+        zero = Matrix.zeros(nrows, ncols)
+        assert a - a == zero and hash(a - a) == hash(zero) and (a - a).den == 1
+        rows_idx = [r for r in range(nrows) if rng.randint(0, 1)] or [0]
+        cols_idx = [c for c in range(ncols) if rng.randint(0, 1)] or [ncols - 1]
+        direct = Matrix([[a.rows[r][c] for c in cols_idx] for r in rows_idx])
+        sub = a.submatrix(rows_idx, cols_idx)
+        assert sub == direct and hash(sub) == hash(direct)
+        if nrows == ncols and det(a) != 0:
+            assert inverse(a) @ a == Matrix.identity(nrows)
+            assert hash(inverse(a) @ a) == hash(Matrix.identity(nrows))
+    assert Matrix([[Fraction(1, 2)]]) != Matrix([[1]])
+    assert Matrix([[1, 2]]) != Matrix([[1], [2]])
+
+
+def test_integer_rows_scales_match_row_lcm_oracle():
+    rng = Rng(63)
+    cases = [Matrix.zeros(2, 3), Matrix([[Fraction(1, 6), Fraction(1, 10)], [0, 0], [2, Fraction(3, 4)]])]
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        cases.append(Matrix(random_fractions(rng, nrows, ncols)))
+        cases.append(low_rank(rng, nrows, ncols, rng.randint(0, min(nrows, ncols))))
+    for m in cases:
+        assert _integer_rows(m) == integer_rows_lcm(m)
+
+
+def test_reduce_mod_p_refuses_exactly_denominators_divisible_by_p():
+    with pytest.raises(ZeroDivisionError):
+        reduce_mod_p(Matrix([[Fraction(1, P)]]))
+    with pytest.raises(ZeroDivisionError):  # P divides the common denominator 3P
+        reduce_mod_p(Matrix([[Fraction(1, 3), 0], [1, Fraction(2, P)]]))
+    m = Matrix([[Fraction(P, 3), Fraction(1, 5)], [Fraction(-7, 2), 2 * P]])
+    assert reduce_mod_p(m) == [[fraction_mod_p(x) for x in row] for row in m.rows]

@@ -1,11 +1,15 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
-from parinv.linalg import Matrix, adjugate, det, inverse
+from parinv import sampling
+from parinv.linalg import Matrix, adjugate, det, inverse, matrix_to_json
 from parinv.sampling import (
     GroupMembershipError,
     GroupPoint,
+    InternalConsistencyError,
     Rng,
     SamplingError,
     anti_identity,
@@ -22,6 +26,8 @@ from parinv.sampling import (
     symplectic_form,
 )
 from parinv.shapes import GroupKind, ShapeError, dim_unipotent_radical, index_set, make_shape
+
+from oracles import form_equation_by_product
 
 GL5 = make_shape("gl", 5, (1, 2, 2))
 SL5 = make_shape("sl", 5, (1, 2, 2))
@@ -274,3 +280,120 @@ def test_adjugate_of_group_point_stays_exact():
     x = sample_group_point(SP8, Rng(44), 4).matrix
     adj = adjugate(x)
     assert x @ adj == Matrix.identity(8) * det(x)
+
+
+def _shifted(m: Matrix, i: int, j: int, delta) -> Matrix:
+    rows = [list(r) for r in m.rows]
+    rows[i][j] += delta
+    return Matrix(rows)
+
+
+# every orthogonal/symplectic shape family with n <= 8: odd and even part
+# counts, odd and even orthogonal sizes
+FORM_SHAPES = (
+    make_shape("o", 3, (1, 1, 1)),
+    make_shape("o", 4, (2, 2)),
+    O5,
+    O6,
+    make_shape("o", 7, (2, 3, 2)),
+    make_shape("o", 8, (1, 3, 3, 1)),
+    SP4,
+    make_shape("sp", 6, (3, 3)),
+    SP8,
+)
+
+
+def test_form_check_agrees_with_product_oracle_on_points_and_perturbations():
+    # a shift can keep a point in the group (at a long-root position of Sp,
+    # say), so only the agreement is asserted point by point
+    shifts = rejected = 0
+    for shape in FORM_SHAPES:
+        for seed in (1, 2, 3):
+            rng = Rng(70 + seed, shape.n)
+            points = [sample_group_point(shape, rng, 6).matrix]
+            if shape.kind is GroupKind.O:
+                points.append(sample_group_point(shape, rng, 6, second_component=True).matrix)
+            points.append(sample_unipotent_radical(shape, rng, 6).matrix)
+            for m in points:
+                assert defining_equation_holds(shape.kind, m) and form_equation_by_product(shape.kind, m)
+                for _ in range(3):
+                    i, j = rng.randint(0, shape.n - 1), rng.randint(0, shape.n - 1)
+                    for delta in (Fraction(1, m.den), m.den):
+                        moved = _shifted(m, i, j, delta)
+                        verdict = defining_equation_holds(shape.kind, moved)
+                        assert verdict == form_equation_by_product(shape.kind, moved)
+                        shifts += 1
+                        rejected += not verdict
+    assert rejected >= 0.9 * shifts
+
+
+def test_cayley_equals_product_form_on_form_skew_integer_matrices():
+    for shape in FORM_SHAPES:
+        basis = lie_algebra_basis(shape, "group")
+        e = Matrix.identity(shape.n)
+        rng = Rng(75, shape.n)
+        checked = 0
+        for _ in range(6):
+            a = Matrix.zeros(shape.n, shape.n)
+            for b in basis:
+                a = a + b * rng.randint(-7, 7)
+            assert a.den == 1
+            try:
+                product = (e - a) @ inverse(e + a)
+            except ZeroDivisionError:
+                continue
+            assert cayley(a) == product
+            checked += 1
+        assert checked >= 4
+
+
+def test_failed_radical_assembly_is_an_internal_error(monkeypatch):
+    assemble = sampling._assemble_radical
+
+    def perturbed(shape, a, b, v):
+        return _shifted(assemble(shape, a, b, v), 0, 0, 1)
+
+    monkeypatch.setattr(sampling, "_assemble_radical", perturbed)
+    for shape in (O5, O6, SP8):
+        with pytest.raises(InternalConsistencyError):
+            sample_unipotent_radical(shape, Rng(76), 5)
+
+
+def test_failed_group_slice_is_an_internal_error(monkeypatch):
+    build = sampling._osp_slice
+
+    def perturbed(shape, rng, bound, sign):
+        return _shifted(build(shape, rng, bound, sign), 0, 0, 1)
+
+    monkeypatch.setattr(sampling, "_osp_slice", perturbed)
+    for shape in (O5, SP8):
+        with pytest.raises(InternalConsistencyError):
+            sample_slice(shape, Rng(77), 5, "s_circ")
+
+
+def _sampler_outputs(shape, seed):
+    points = [sample_group_point(shape, Rng(seed))]
+    if shape.kind is GroupKind.O:
+        points.append(sample_group_point(shape, Rng(seed), second_component=True))
+    points.append(sample_unipotent_radical(shape, Rng(seed)))
+    variants = ["s", "s0"] + (["s_circ"] if shape.kind in (GroupKind.O, GroupKind.SP) else [])
+    points += [sample_slice(shape, Rng(seed), variant=v) for v in variants]
+    return [matrix_to_json(p.matrix) for p in points]
+
+
+# sha256 of the sampled points at seeds 1-3 (default bound), recorded before
+# group points were assembled on integers; pins the order of the rng draws
+PINNED_SAMPLES = {
+    ("gl", 5, (1, 2, 2)): "6939e68a6973dfafa69f5a5bd0903e1132640c3bcb9efa18b70cbe6840326d87",
+    ("sl", 5, (1, 2, 2)): "8738cbfdae1c275451bb360cd6b410ae0bc44a389d91d97735c9b9f0bd5083a5",
+    ("o", 5, (1, 3, 1)): "ad970d9631efc8c24663f4500817692cbb17da6653308e78b3abe8f3ddadaef8",
+    ("o", 4, (2, 2)): "5032a9106387a96563a56d2dd954a52b3dbd603e5e9cb8970e282d860fc35f40",
+    ("sp", 8, (1, 2, 2, 2, 1)): "c5ff225e10d926305a6b4dffe312e2f376c025652b283ada68748272df9d4161",
+}
+
+
+@pytest.mark.parametrize("kind,n,parts", sorted(PINNED_SAMPLES))
+def test_sampler_output_is_pinned(kind, n, parts):
+    shape = make_shape(kind, n, parts)
+    text = json.dumps([_sampler_outputs(shape, seed) for seed in (1, 2, 3)], separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SAMPLES[kind, n, parts]
