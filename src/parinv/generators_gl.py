@@ -86,8 +86,7 @@ def stacked_matrix(recipe: StackedRecipe, top, bottom, field: Field = QQ):
             [top.submatrix([r - 1 for r in recipe.x_rows], cols0)],
             [bottom.submatrix([r - 1 for r in recipe.adj_rows], cols0)],
         ])
-    top, bottom = field.rows(top), field.rows(bottom)
-    rows = [[top[r - 1][c] for c in cols0] for r in recipe.x_rows]
+    rows = [[top[r - 1][c] for c in cols0] for r in recipe.x_rows]  # residues: lists of rows
     rows += [[bottom[r - 1][c] for c in cols0] for r in recipe.adj_rows]
     return field.matrix(rows)
 

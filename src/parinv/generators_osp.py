@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .linalg import Matrix, adjugate
 from .generators_gl import Generator, MinorRecipe, RatioRecipe, build_generators, eval_generator
@@ -47,8 +48,9 @@ def corner_minor_recipe(shape: FlagShape) -> MinorRecipe | None:
     return MinorRecipe(rows, cols)
 
 
+@lru_cache(maxsize=None)
 def build_system(shape: FlagShape) -> GeneratorSystem:
-    """The full generator system of a shape; general linear kinds have no ratio layer."""
+    """The full generator system of a shape (memoised); general linear kinds have no ratio layer."""
     if shape.kind in (GroupKind.GL, GroupKind.SL):
         return GeneratorSystem(shape, build_generators(shape), None, ())
     idx = index_set(shape)

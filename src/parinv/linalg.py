@@ -478,7 +478,6 @@ class Field(NamedTuple):
     """
 
     reduce: Callable  # Matrix -> matrix of this field
-    rows: Callable  # matrix -> its rows
     matrix: Callable  # rows -> matrix
     det: Callable
     inverse: Callable
@@ -494,7 +493,6 @@ class Field(NamedTuple):
 # them, say) reaches field-generic code too
 QQ = Field(
     reduce=lambda m: m,
-    rows=lambda a: a.rows,
     matrix=Matrix,
     det=lambda a: det(a),
     inverse=lambda a: inverse(a),
@@ -507,7 +505,6 @@ QQ = Field(
 )
 GF_P = Field(
     reduce=lambda m: reduce_mod_p(m),
-    rows=lambda a: a,
     matrix=lambda rows: rows,
     det=lambda a: det_mod_p(a),
     inverse=lambda a: inverse_mod_p(a),

@@ -19,13 +19,12 @@ integer numerators of the point.
 """
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import Matrix, SingularMatrixError, det, inverse, nullspace_basis
+from .linalg import Matrix, SingularMatrixError, det, inverse
 from .shapes import FlagShape, GroupKind, ShapeError, index_set
 
 MASK64 = (1 << 64) - 1
@@ -169,9 +168,13 @@ def lie_algebra_basis(shape: FlagShape, which: str = "group") -> tuple[Matrix, .
     """Exact basis of the group's Lie algebra, or of the radical's.
 
     GL uses matrix units; SL the trace-zero ones.  Orthogonal/symplectic
-    bases solve A^t F + F A = 0 as an exact nullspace over the allowed
-    entry positions (all of them, or the strictly-upper block ones for
-    the radical).
+    bases solve A^t F + F A = 0 in closed form over the allowed positions
+    (all, or the strictly-upper block ones for the radical; row-major).
+    With s_r = F[r][n+1-r] and i' = n + 1 - i, the equation reads
+    A_{j'i'} = -s_{i'} s_{j'} A_{ij} = c A_{ij}: each partner pair gives
+    E_ij + c E_{j'i'} at its later position, and an anti-diagonal position
+    (its own partner) gives E_ij if c = +1 (Sp) and nothing if c = -1 (O).
+    This is the exact nullspace basis of the constraints, element for element.
     """
     if which not in ("group", "radical"):
         raise ValueError(f"which must be 'group' or 'radical', got {which!r}")
@@ -183,37 +186,34 @@ def lie_algebra_basis(shape: FlagShape, which: str = "group") -> tuple[Matrix, .
         if shape.kind is GroupKind.GL:
             basis = [Matrix.unit(n, i, i) for i in range(1, n + 1)] + basis
         else:
-            basis = [
-                Matrix.unit(n, k, k) - Matrix.unit(n, k + 1, k + 1) for k in range(1, n)
-            ] + basis
+            basis = [Matrix.unit(n, k, k) - Matrix.unit(n, k + 1, k + 1) for k in range(1, n)] + basis
         return tuple(basis)
     positions = (
         _strict_upper_positions(shape)
         if which == "radical"
         else [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     )
-    f = form_matrix(shape.kind, n).num  # an integer matrix
-    # rows: the n^2 entries of A^t F + F A; columns: the allowed positions
-    constraints = []
-    for r in range(1, n + 1):
-        for c in range(1, n + 1):
-            row = []
-            for (i, j) in positions:
-                coeff = 0
-                # (A^t F)_{rc} picks A_{i r} F_{i c}; (F A)_{rc} picks F_{r i} A_{i c}
-                if j == r:
-                    coeff += f[i - 1][c - 1]
-                if j == c:
-                    coeff += f[r - 1][i - 1]
-                row.append(coeff)
-            constraints.append(row)
+    order = {p: k for k, p in enumerate(positions)}
+    s = [row[n - 1 - r] for r, row in enumerate(form_matrix(shape.kind, n).num)]  # s[r - 1] = s_r
     basis = []
-    for vec in nullspace_basis(Matrix(constraints)):
-        rows = [[0] * n for _ in range(n)]
-        for (i, j), v in zip(positions, vec):
-            rows[i - 1][j - 1] = v
-        basis.append(Matrix(rows))
+    for k, (i, j) in enumerate(positions):
+        partner = (n + 1 - j, n + 1 - i)
+        c = -s[n - i] * s[n - j]
+        if order[partner] < k or (partner == (i, j) and c == 1):
+            rows = [[0] * n for _ in range(n)]
+            rows[partner[0] - 1][partner[1] - 1] = c
+            rows[i - 1][j - 1] = 1
+            basis.append(Matrix(rows))
     return tuple(basis)
+
+
+@lru_cache(maxsize=None)
+def sparse_lie_basis(shape: FlagShape, which: str = "group") -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """``lie_algebra_basis`` as nonzero (i, j, value) entries, 0-based; every basis is integral."""
+    return tuple(
+        tuple((i, j, x) for i, row in enumerate(b.num) for j, x in enumerate(row) if x)
+        for b in lie_algebra_basis(shape, which)
+    )
 
 
 def _random_matrix(rng: Rng, nrows: int, ncols: int, bound: int) -> Matrix:
@@ -302,26 +302,14 @@ def sample_unipotent_radical(shape: FlagShape, rng: Rng, bound: int = 10) -> Gro
         raise InternalConsistencyError("assembled radical element fails the form equation") from exc
 
 
-@lru_cache(maxsize=None)
-def _sparse_group_basis(shape: FlagShape) -> tuple[int, tuple[tuple[tuple[int, int, int], ...], ...]]:
-    """The group's Lie basis as (common denominator, nonzero (i, j, numerator) entries per element)."""
-    basis = lie_algebra_basis(shape, "group")
-    den = math.lcm(*(b.den for b in basis))
-    return den, tuple(
-        tuple((i, j, x * (den // b.den)) for i, row in enumerate(b.num) for j, x in enumerate(row) if x)
-        for b in basis
-    )
-
-
 def _random_lie_element(shape: FlagShape, rng: Rng, bound: int) -> Matrix:
     """Sum of c * basis element, one draw c per element in basis order."""
-    den, elements = _sparse_group_basis(shape)
     total = [[0] * shape.n for _ in range(shape.n)]
-    for entries in elements:
+    for entries in sparse_lie_basis(shape, "group"):
         c = rng.randint(-bound, bound)
         for i, j, x in entries:
             total[i][j] += x * c
-    return Matrix(total) * Fraction(1, den)
+    return Matrix(total)
 
 
 def sample_group_point(

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple
 
 
@@ -149,8 +150,9 @@ def _gl_pairs(shape: FlagShape) -> list[IndexPair]:
     ]
 
 
+@lru_cache(maxsize=None)
 def index_set(shape: FlagShape) -> GeneratorIndexSet:
-    """The full generator index combinatorics for the shape's kind."""
+    """The full generator index combinatorics for the shape's kind (memoised)."""
     gamma0: tuple[IndexPair, ...] = ()
     if shape.kind in (GroupKind.GL, GroupKind.SL):
         pairs = _gl_pairs(shape)

@@ -9,8 +9,10 @@ streams of one seed, so reports are reproducible bit for bit.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .generators_gl import (
     Generator,
@@ -27,6 +29,7 @@ from .generators_gl import (
 from .generators_osp import build_system, eval_family
 from .linalg import (
     GF_P,
+    P,
     QQ,
     Field,
     Matrix,
@@ -41,12 +44,12 @@ from .linalg import (
 from .sampling import (
     Rng,
     anti_identity,
-    lie_algebra_basis,
     resolve_slice_sign,
     sample_group_point,
     sample_slice,
     sample_unipotent_radical,
     slice_pattern,
+    sparse_lie_basis,
 )
 from .shapes import (
     FlagShape,
@@ -409,21 +412,41 @@ def _certified_rank(build) -> int:
     return rank(build(QQ))
 
 
+def _integers(f: Field, a) -> tuple:
+    """A matrix of f as (integer rows, denominator); residues have denominator 1."""
+    return (a.num, a.den) if f is QQ else (a, 1)
+
+
+def _rows_over(f: Field, rows: list[list[int]], dens: list[int]):
+    """The matrix of f whose row k is the integer row rows[k] / dens[k]."""
+    if f is GF_P:  # residue rows have denominator 1
+        return [[x % P for x in row] for row in rows]
+    den = math.lcm(*dens)
+    return Matrix([[x * (den // d) for x in row] for row, d in zip(rows, dens)]) * Fraction(1, den)
+
+
+def _orbit_matrix(shape: FlagShape, point: Matrix, f: Field):
+    """Rows [point, A] = point @ A - A @ point, flattened, over the radical basis: each
+    nonzero (i, j, v) of A adds v * column i of the point to column j and
+    subtracts v * row j of the point from row i."""
+    n = shape.n
+    num, den = _integers(f, f.reduce(point))
+    rows = []
+    for entries in sparse_lie_basis(shape, "radical"):
+        out = [0] * (n * n)
+        for i, j, v in entries:
+            for r in range(n):
+                out[r * n + j] += v * num[r][i]
+                out[i * n + r] -= v * num[j][r]
+        rows.append(out)
+    return _rows_over(f, rows, [den] * len(rows))
+
+
 def orbit_dimension(shape: FlagShape, point: Matrix) -> int:
-    """Exact rank of A -> point @ A - A @ point over the radical basis."""
-    basis = lie_algebra_basis(shape, "radical")
-    if not basis:
+    """Exact rank of A -> [point, A] over the radical basis (see ``_orbit_matrix``)."""
+    if not sparse_lie_basis(shape, "radical"):
         return 0
-
-    def commutator_rows(f: Field):
-        x = f.reduce(point)
-        rows = []
-        for a in map(f.reduce, basis):
-            diff = f.rows(f.sub(f.matmul(x, a), f.matmul(a, x)))
-            rows.append([v for row in diff for v in row])
-        return f.matrix(rows)
-
-    return _certified_rank(commutator_rows)
+    return _certified_rank(lambda f: _orbit_matrix(shape, point, f))
 
 
 def check_orbit_dimension(shape: FlagShape, seed: int, bound: int, points: int = 3) -> CheckResult:
@@ -465,75 +488,102 @@ def check_count_identity(shape: FlagShape, generic_orbit: int) -> CheckResult:
     return CheckResult("count_identity", not problems, details)
 
 
-def _submatrix(f: Field, a, recipe: MinorRecipe):
+def _submatrix(f: Field, a, rows, cols):
+    """The submatrix of a matrix of f on 1-based rows and cols, in the listed order."""
     if f is QQ:  # stays on the integer numerators, without building Fractions
-        return a.submatrix([r - 1 for r in recipe.rows], [c - 1 for c in recipe.cols])
-    rows = f.rows(a)
-    return f.matrix([[rows[r - 1][c - 1] for c in recipe.cols] for r in recipe.rows])
+        return a.submatrix([r - 1 for r in rows], [c - 1 for c in cols])
+    return f.matrix([[a[r - 1][c - 1] for c in cols] for r in rows])
 
 
-def directional_jacobian(
-    gens: tuple[Generator, ...], point, directions: list, field: Field = QQ
-):
-    """Matrix of directional derivatives, generators by directions, over ``field``.
+def _embed(f: Field, block, rows, cols, n: int):
+    """The n x n matrix of f with block[a][b] at (rows[a], cols[b]), 1-based, zeros elsewhere."""
+    num, den = _integers(f, block)
+    out = [[0] * n for _ in range(n)]
+    for r, line in zip(rows, num):
+        for c, v in zip(cols, line):
+            out[r - 1][c - 1] = v
+    return _rows_over(f, out, [den] * n)
 
-    ``point`` and ``directions`` are matrices of that field; the point must
-    be invertible there when a generator is stacked.
+
+def _gradients(gens: tuple[Generator, ...], point, f: Field) -> list:
+    """The transposed gradient H = (grad g)^t of each generator at the point, over f.
+
+    dg[B] = tr(H B) for every direction B.  By Jacobi's formula
+    d det S = tr(adj(S) dS), a minor on rows R and columns C has H = adj(S)
+    placed on C x R: one adjugate gives the whole gradient (the cheap
+    gradient of Baur and Strassen 1983).  A stacked generator's adjugate
+    K splits into the columns K_x of its X rows R_x, placed on C x R_x,
+    and K_a of its adj(X) rows R_a.  Since d adj(X)[B] = tr(adj(X) B) X^-1
+    - adj(X) B X^-1, the chain rule adds tr(K_a X^-1[R_a, C]) adj(X)
+    - X^-1[:, C] K_a adj(X)[R_a, :].  Ratios follow the quotient rule.
+    The point must be invertible in f when a generator is stacked.
     """
-    f = field
+    n = len(_integers(f, point)[0])
+    every = range(1, n + 1)
     if any(isinstance(g.recipe, StackedRecipe) for g in gens):
         x_inv = f.inverse(point)
         adj_x = f.scale(x_inv, f.det(point))
-    prepared = []
+
+    def minor_gradient(recipe: MinorRecipe):
+        sub = _submatrix(f, point, recipe.rows, recipe.cols)
+        return _embed(f, f.adjugate(sub), recipe.cols, recipe.rows, n)
+
+    out = []
     for g in gens:
         recipe = g.recipe
         if isinstance(recipe, MinorRecipe):
-            prepared.append(f.adjugate(_submatrix(f, point, recipe)))
+            out.append(minor_gradient(recipe))
         elif isinstance(recipe, StackedRecipe):
-            prepared.append(f.adjugate(stacked_matrix(recipe, point, adj_x, f)))
+            k = f.adjugate(stacked_matrix(recipe, point, adj_x, f))
+            cols, span, m = recipe.cols, range(1, len(recipe.cols) + 1), len(recipe.x_rows)
+            k_x, k_a = _submatrix(f, k, span, span[:m]), _submatrix(f, k, span, span[m:])
+            # minus the chain term through d adj(X)
+            chain = f.sub(
+                f.matmul(f.matmul(_submatrix(f, x_inv, every, cols), k_a),
+                         _submatrix(f, adj_x, recipe.adj_rows, every)),
+                f.scale(adj_x, f.trace_product(k_a, _submatrix(f, x_inv, recipe.adj_rows, cols))),
+            )
+            out.append(f.sub(_embed(f, k_x, cols, recipe.x_rows, n), chain))
         else:
-            num_sub = _submatrix(f, point, recipe.numerator)
-            den_sub = _submatrix(f, point, recipe.denominator)
-            den_val = f.det(den_sub)
-            if den_val == 0:
-                raise ZeroDivisionError("ratio generator undefined at this point")
-            prepared.append((f.adjugate(num_sub), f.det(num_sub), f.adjugate(den_sub), den_val))
-    rows: list[list] = [[] for _ in gens]
-    for b in directions:
-        d_adj = None
-        for g, prep, row in zip(gens, prepared, rows):
-            recipe = g.recipe
-            if isinstance(recipe, MinorRecipe):
-                row.append(f.trace_product(prep, _submatrix(f, b, recipe)))
-            elif isinstance(recipe, StackedRecipe):
-                if d_adj is None:  # d adj(X)[B] = tr(adj(X) B) X^-1 - adj(X) B X^-1
-                    d_adj = f.sub(
-                        f.scale(x_inv, f.trace_product(adj_x, b)),
-                        f.matmul(f.matmul(adj_x, b), x_inv),
-                    )
-                row.append(f.trace_product(prep, stacked_matrix(recipe, b, d_adj, f)))
-            else:
-                adj_num, num_val, adj_den, den_val = prep
-                d_num = f.trace_product(adj_num, _submatrix(f, b, recipe.numerator))
-                d_den = f.trace_product(adj_den, _submatrix(f, b, recipe.denominator))
-                row.append(f.div(d_num * den_val - num_val * d_den, den_val * den_val))
-    return f.matrix(rows)
+            num, den = recipe.numerator, recipe.denominator
+            num_val = f.det(_submatrix(f, point, num.rows, num.cols))
+            den_val = f.det(_submatrix(f, point, den.rows, den.cols))
+            h = f.sub(f.scale(minor_gradient(num), den_val), f.scale(minor_gradient(den), num_val))
+            # f.div raises ZeroDivisionError where the ratio is undefined
+            out.append(f.scale(h, f.div(1, den_val * den_val)))
+    return out
+
+
+def directional_jacobian(gens: tuple[Generator, ...], point, directions: list, field: Field = QQ):
+    """Matrix of directional derivatives, generators by directions, over ``field``.
+
+    ``point`` and ``directions`` are matrices of that field; the point must
+    be invertible there when a generator is stacked.  Entry (g, B) is
+    tr(H B) for the transposed gradient H of g (see ``_gradients``).
+    """
+    grads = _gradients(gens, point, field)
+    return field.matrix([[field.trace_product(h, b) for b in directions] for h in grads])
 
 
 def _tangent_jacobian(shape: FlagShape, gens: tuple[Generator, ...], point: Matrix, f: Field):
     """Jacobian of gens on the group's tangent space at the point, over f.
 
-    General linear kinds take the coordinate directions E_ij; the others
-    the left-translated Lie algebra basis point @ A.
+    General linear kinds take the coordinate directions E_ij (row-major),
+    where entry tr(H E_ij) is H[j][i], so each row is a gradient.  The
+    other kinds take the left-translated Lie algebra basis point @ A,
+    where tr(H point A) sums v * (H point)[j][i] over the nonzero entries
+    (i, j, v) of A.
     """
-    n = shape.n
     x = f.reduce(point)
+    grads = _gradients(gens, x, f)
     if shape.kind is GroupKind.GL:
-        units = (Matrix.unit(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1))
-        directions = [f.reduce(u) for u in units]
+        parts = [_integers(f, h) for h in grads]
+        rows = [[v for col in zip(*num) for v in col] for num, _ in parts]
     else:
-        directions = [f.matmul(x, f.reduce(a)) for a in lie_algebra_basis(shape, "group")]
-    return directional_jacobian(gens, x, directions, f)
+        basis = sparse_lie_basis(shape, "group")
+        parts = [_integers(f, f.matmul(h, x)) for h in grads]
+        rows = [[sum(v * num[j][i] for i, j, v in a) for a in basis] for num, _ in parts]
+    return _rows_over(f, rows, [den for _, den in parts])
 
 
 def independence_rank(shape: FlagShape, point: Matrix) -> dict:

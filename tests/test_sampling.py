@@ -27,7 +27,7 @@ from parinv.sampling import (
 )
 from parinv.shapes import GroupKind, ShapeError, dim_unipotent_radical, index_set, make_shape
 
-from oracles import form_equation_by_product
+from oracles import form_equation_by_product, lie_basis_by_nullspace, valid_shapes
 
 GL5 = make_shape("gl", 5, (1, 2, 2))
 SL5 = make_shape("sl", 5, (1, 2, 2))
@@ -202,6 +202,33 @@ def test_lie_algebra_basis_counts_and_constraints():
                 for j in range(1, shape.n + 1):
                     if shape.block_of(i) >= shape.block_of(j):
                         assert a.rows[i - 1][j - 1] == 0
+
+
+@pytest.mark.parametrize(
+    "shape",
+    valid_shapes(8, ("o", "sp"))
+    + [make_shape("o", 9, (2, 2, 1, 2, 2)), make_shape("sp", 12, (2, 2, 4, 2, 2))],
+    ids=lambda s: f"{s.kind.value}{s.n}-" + "-".join(map(str, s.parts)),
+)
+def test_closed_form_osp_basis_is_the_nullspace_basis(shape):
+    # same elements in the same order as the reduced echelon nullspace of
+    # the n^2 form constraints, so every sample and report is unchanged
+    for which in ("group", "radical"):
+        assert lie_algebra_basis(shape, which) == lie_basis_by_nullspace(shape, which)
+
+
+def test_sparse_lie_basis_lists_the_nonzero_entries():
+    for shape in (GL5, SL5, *OSP_SHAPES):
+        for which in ("group", "radical"):
+            sparse = sampling.sparse_lie_basis(shape, which)
+            dense = lie_algebra_basis(shape, which)
+            assert len(sparse) == len(dense)
+            for entries, a in zip(sparse, dense):
+                rows = [[0] * shape.n for _ in range(shape.n)]
+                for i, j, v in entries:
+                    assert v != 0 and type(v) is int
+                    rows[i][j] = v
+                assert Matrix(rows) == a
 
 
 def test_lie_algebra_group_dimensions():

@@ -7,9 +7,9 @@ from parinv import linalg, verification
 from parinv.cli import ACCEPTANCE_SHAPES
 from parinv.generators_gl import Generator, MinorRecipe
 from parinv.generators_osp import build_system, eval_family
-from parinv.linalg import Matrix
+from parinv.linalg import GF_P, QQ, Matrix
 from parinv.sampling import Rng, sample_group_point
-from parinv.shapes import make_shape
+from parinv.shapes import index_set, make_shape
 from parinv.verification import (
     check_adjugate_minor_lemma,
     check_bruhat_containment,
@@ -28,6 +28,8 @@ from parinv.verification import (
     orbit_dimension,
     run_suite,
 )
+
+from oracles import forward_jacobian, orbit_rows_dense, tangent_directions, valid_shapes
 
 GL5 = make_shape("gl", 5, (1, 2, 2))
 SL5 = make_shape("sl", 5, (1, 2, 2))
@@ -121,6 +123,61 @@ def test_osp_combined_rank_below_the_bound_is_exact(monkeypatch):
     r = independence_rank(shape, x)
     assert exact == [(4, 15), (13, 15)]
     assert (r["rank"], r["j_rank"], r["gamma0_rank"]) == (9, 9, 1)
+
+
+def _label(shape):
+    return f"{shape.kind.value}{shape.n}-" + "-".join(map(str, shape.parts))
+
+
+def _assert_jacobian_matches_forward_mode(shape, x, fields):
+    system = build_system(shape)
+    gens = system.j + system.ratios
+    for f in fields:
+        point = f.reduce(x)
+        try:
+            want = forward_jacobian(gens, point, tangent_directions(shape, point, f), f)
+        except ZeroDivisionError:  # a ratio undefined at x, or x singular mod P
+            with pytest.raises(ZeroDivisionError):
+                verification._tangent_jacobian(shape, gens, x, f)
+            continue
+        assert verification._tangent_jacobian(shape, gens, x, f) == want
+
+
+@pytest.mark.parametrize("shape", valid_shapes(5), ids=_label)
+def test_tangent_jacobian_equals_forward_mode_on_small_shapes(shape):
+    # the reverse-mode gradients contracted with the tangent basis give the
+    # very matrices the per-direction forward loop builds, over Q and mod P
+    for t in range(2):
+        x = sample_group_point(shape, Rng(81, t), 10).matrix
+        _assert_jacobian_matches_forward_mode(shape, x, (QQ, GF_P))
+
+
+@pytest.mark.parametrize(
+    "kind,n,parts",
+    [("gl", 8, (2, 3, 3)), ("gl", 10, (2, 3, 5)), ("o", 9, (2, 2, 1, 2, 2)), ("sp", 12, (2, 2, 4, 2, 2))],
+)
+def test_tangent_jacobian_equals_forward_mode_on_ladder_shapes(kind, n, parts):
+    shape = make_shape(kind, n, parts)
+    x = sample_group_point(shape, Rng(82), 10).matrix
+    _assert_jacobian_matches_forward_mode(shape, x, (GF_P,) if n >= 9 else (QQ, GF_P))
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [s for s in valid_shapes(5) if s.ell > 1] + [make_shape("sp", 8, (1, 2, 2, 2, 1))],
+    ids=_label,
+)
+def test_orbit_rows_equal_dense_commutators(shape):
+    x = sample_group_point(shape, Rng(84), 10).matrix
+    dense = orbit_rows_dense(shape, x)
+    assert verification._orbit_matrix(shape, x, QQ) == dense
+    assert verification._orbit_matrix(shape, x, GF_P) == linalg.reduce_mod_p(dense)
+
+
+def test_generator_systems_and_index_sets_are_memoised():
+    shape = make_shape("o", 9, (2, 2, 1, 2, 2))
+    assert build_system(shape) is build_system(make_shape("o", 9, (2, 2, 1, 2, 2)))
+    assert index_set(shape) is index_set(make_shape("o", 9, (2, 2, 1, 2, 2)))
 
 
 def test_orbit_dimension_generic_values():
