@@ -93,8 +93,9 @@ def _cmd_eval(args) -> int:
         raise UsageError(f"cannot read matrix file: {exc}") from None
     if m.nrows != shape.n or m.ncols != shape.n:
         raise UsageError(f"matrix is {m.nrows}x{m.ncols}, shape needs {shape.n}x{shape.n}")
-    if shape.kind in (GroupKind.O, GroupKind.SP) and not defining_equation_holds(shape.kind, m):
-        raise UsageError(f"matrix violates the defining form equation of {shape.kind.value}({shape.n})")
+    if not defining_equation_holds(shape.kind, m):
+        equation = {GroupKind.GL: "equation det != 0", GroupKind.SL: "equation det = 1"}.get(shape.kind, "form equation")
+        raise UsageError(f"matrix violates the defining {equation} of {shape.kind.value}({shape.n})")
     system = build_system(shape)
     family = system.family()
     named = dict(zip((label for label, _ in family), eval_family(family, m)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Field, Matrix, QQ, adjugate, det, minor
+from .linalg import Matrix, adjugate, det, minor
 from .shapes import FlagShape, GroupKind, IndexPair, ShapeError, index_set
 
 
@@ -78,17 +78,13 @@ def build_generators(shape: FlagShape) -> tuple[Generator, ...]:
     return tuple(out)
 
 
-def stacked_matrix(recipe: StackedRecipe, top, bottom, field: Field = QQ):
+def stacked_matrix(recipe: StackedRecipe, top: Matrix, bottom: Matrix) -> Matrix:
     """Assemble the recipe's rows from two sources, columns restricted."""
     cols0 = [c - 1 for c in recipe.cols]
-    if field is QQ:  # stays on the integer numerators, without building Fractions
-        return Matrix.from_blocks([
-            [top.submatrix([r - 1 for r in recipe.x_rows], cols0)],
-            [bottom.submatrix([r - 1 for r in recipe.adj_rows], cols0)],
-        ])
-    rows = [[top[r - 1][c] for c in cols0] for r in recipe.x_rows]  # residues: lists of rows
-    rows += [[bottom[r - 1][c] for c in cols0] for r in recipe.adj_rows]
-    return field.matrix(rows)
+    return Matrix.from_blocks([
+        [top.submatrix([r - 1 for r in recipe.x_rows], cols0)],
+        [bottom.submatrix([r - 1 for r in recipe.adj_rows], cols0)],
+    ])
 
 
 def eval_generator(gen: Generator, point: Matrix, adj: Matrix | None = None) -> Fraction:

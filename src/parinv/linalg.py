@@ -10,32 +10,34 @@ callers that read entries.  Scalars returned (determinants, minors,
 traces) are Fractions.  This is the common-denominator form of rational
 matrices (FLINT's ``fmpq_mat`` to ``fmpz_mat``).
 
-Every determinant, adjugate, inverse, rank and nullspace, over Q and
-mod P, is read off one fraction-free Bareiss Gauss-Jordan elimination
-(``_bareiss``).  Over Q it runs on integer rows, each row cleared of
-the denominator by its own scale den / gcd(den, row), the lcm of the
-row's lowest-terms denominators.  A regular matrix's adjugate and
-inverse come from eliminating [X | E]; a singular matrix's adjugate
-falls back to signed cofactors.
+Every determinant, adjugate, inverse and rank is read off one
+fraction-free Bareiss Gauss-Jordan elimination (``_bareiss``) of integer
+rows with one optional prime modulus: ``p=None`` is exact, ``p=P`` works
+on residues.  Over Q each row is cleared of the denominator by its own
+scale den / gcd(den, row).  A regular matrix's adjugate and inverse come
+from eliminating [X | E]; a singular one's adjugate falls back to signed
+cofactors.  ``adjugate_rows`` and ``matmul_rows`` are the integer-row
+kernels, with the same optional modulus, that the tangent Jacobians are
+built on.
 
-Ranks are certified modulo the fixed prime P = 2^61 - 1.  Reducing a
-rational matrix mod P (possible when P does not divide its denominator)
-maps every minor to its residue, so rank mod P <= rank over Q.  A residue
-rank is therefore accepted only when it meets a proven upper bound on the
+A rank does not change when a row is multiplied by a nonzero number, so
+a matrix may be ranked on any nonzero multiples of its rows: ``rank``
+takes the numerator rows, each divided by its content.  Ranks are
+certified modulo the fixed prime P = 2^61 - 1.  Reducing integer rows
+mod P maps every minor to its residue, so rank mod P <= rank over Q, and
+a residue rank is accepted only when it meets a proven upper bound on the
 rational rank: min(rows, cols), or, for the orthogonal/symplectic tangent
 Jacobian, rows(J) + the exact rank of the central ratio rows.  In every
-other case -- a smaller residue rank, a denominator or pivot that is not
-invertible mod P -- the exact rational rank decides.  P is a constant,
-not a random draw, so every report stays deterministic.  ``QQ`` and
-``GF_P`` bundle the operations that field-generic code (the tangent
-Jacobian build) needs over each field.
+other case (a smaller residue rank, a denominator divisible by P) the
+exact rational rank decides.  P is a constant, not a random draw, so
+every report stays deterministic.
 """
 from __future__ import annotations
 
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 
 class DimensionError(ValueError):
@@ -49,6 +51,8 @@ class SingularMatrixError(ZeroDivisionError):
 def _to_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):  # an int subclass, so a JSON true would read as 1
+        raise TypeError("exact scalar expected (int, Fraction or string), got bool")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -291,21 +295,21 @@ def _det_rows(a: list[list[int]], p: int | None = None) -> int:
     return sign * last if p is None else sign * last % p
 
 
-def _inverse_rows(a: list[list[int]], p: int | None = None):
+def _inverse_rows(a: Sequence[Sequence[int]], p: int | None = None):
     """Eliminate [a | E] upward: (sign, last pivot d, d * a^-1), or None if a is singular.
 
     d = sign * det(a), so sign * d * a^-1 is the adjugate.
     """
     n = len(a)
-    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     pivots, sign, last = _bareiss(aug, n, True, p)
     if len(pivots) < n:
         return None
     return sign, last, [row[n:] for row in aug]
 
 
-def _adjugate_rows(a: list[list[int]], p: int | None = None) -> list[list[int]]:
-    """Adjugate of square integer rows, mod p when given; signed cofactors if singular."""
+def _adjugate_rows(a: Sequence[Sequence[int]], p: int | None = None) -> list[list[int]]:
+    """Adjugate of square integer rows (reduced mod p when given); signed cofactors if singular."""
     solved = _inverse_rows(a, p)
     if solved is not None:
         sign, _, right = solved
@@ -314,12 +318,25 @@ def _adjugate_rows(a: list[list[int]], p: int | None = None) -> list[list[int]]:
         n = len(a)
         adj = [
             [
-                (-1) ** (r + c) * _det_rows([row[:r] + row[r + 1:] for k, row in enumerate(a) if k != c], p)
+                (-1) ** (r + c) * _det_rows([[*row[:r], *row[r + 1:]] for k, row in enumerate(a) if k != c], p)
                 for c in range(n)
             ]
             for r in range(n)
         ]
     return adj if p is None else [[x % p for x in row] for row in adj]
+
+
+def adjugate_rows(a: Sequence[Sequence[int]], p: int | None = None) -> list[list[int]]:
+    """Adjugate of square integer rows (left unchanged), mod the prime p when given."""
+    return _adjugate_rows(a if p is None else [[x % p for x in row] for row in a], p)
+
+
+def matmul_rows(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], p: int | None = None) -> list[list[int]]:
+    """Product of integer rows a @ b, mod the prime p when given."""
+    cols = list(zip(*b))
+    if p is None:
+        return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+    return [[sum(map(operator.mul, row, col)) % p for col in cols] for row in a]
 
 
 def det(m: Matrix) -> Fraction:
@@ -359,29 +376,20 @@ def minor(m: Matrix, row_list: Sequence[int], col_list: Sequence[int]) -> Fracti
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank over the rationals; a full residue rank mod P certifies it."""
+    """Exact rank over the rationals; a full residue rank mod P certifies it.
+
+    The rank of m is that of its numerator rows, and it does not change when
+    a row is divided by its content gcd(row), which keeps the exact
+    elimination on the smallest integers.
+    """
     bound = min(m.nrows, m.ncols)
     try:
         if rank_mod_p(reduce_mod_p(m)) == bound:
             return bound
     except ZeroDivisionError:
         pass  # a denominator divisible by P: no certificate
-    return len(_bareiss(_integer_rows(m)[0], m.ncols, False)[0])
-
-
-def nullspace_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
-    """Basis of {v : m @ v = 0}; one vector per free column, exact."""
-    a = _integer_rows(m)[0]
-    pivots, _, last = _bareiss(a, m.ncols, True)
-    # every pivot row carries the last pivot: a[r][f] / last is the reduced echelon entry
-    basis = []
-    for f in (c for c in range(m.ncols) if c not in pivots):
-        v = [Fraction(0)] * m.ncols
-        v[f] = Fraction(1)
-        for row, p in enumerate(pivots):
-            v[p] = Fraction(-a[row][f], last)
-        basis.append(tuple(v))
-    return basis
+    a = [[x // g for x in row] if (g := math.gcd(*row)) > 1 else list(row) for row in m.num]
+    return len(_bareiss(a, m.ncols, False)[0])
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -424,97 +432,9 @@ def reduce_mod_p(m: Matrix) -> Residues:
     return [[x * inv % P for x in row] for row in m.num]
 
 
-def _residue_rows(a: Residues) -> Residues:
-    """A reduced copy of a, for the in-place elimination."""
-    return [[x % P for x in row] for row in a]
-
-
-def rank_mod_p(a: Residues) -> int:
-    """Rank over GF(P) (a lower bound for the rank over Q)."""
-    return len(_bareiss(_residue_rows(a), len(a[0]) if a else 0, False, P)[0])
-
-
-def det_mod_p(a: Residues) -> int:
-    """Determinant over GF(P)."""
-    return _det_rows(_residue_rows(a), P)
-
-
-def inverse_mod_p(a: Residues) -> Residues:
-    """Inverse over GF(P); SingularMatrixError if a is singular mod P."""
-    solved = _inverse_rows(_residue_rows(a), P)
-    if solved is None:
-        raise SingularMatrixError("matrix is singular mod P")
-    _, last, right = solved
-    inv = pow(last, -1, P)
-    return [[x * inv % P for x in row] for row in right]
-
-
-def adjugate_mod_p(a: Residues) -> Residues:
-    """Adjugate over GF(P), singular input included."""
-    return _adjugate_rows(_residue_rows(a), P)
-
-
-def _matmul_mod_p(a: Residues, b: Residues) -> Residues:
-    cols = list(zip(*b))
-    return [[sum(map(operator.mul, row, col)) % P for col in cols] for row in a]
-
-
-def _trace_product_mod_p(a: Residues, b: Residues) -> int:
-    return sum(sum(map(operator.mul, row, col)) for row, col in zip(a, zip(*b))) % P
-
-
-def _div_mod_p(x: int, y: int) -> int:
-    if y % P == 0:
-        raise ZeroDivisionError("division by a multiple of P")
-    return x * pow(y, -1, P) % P
-
-
-class Field(NamedTuple):
-    """Matrix and scalar operations over one field, for field-generic code.
-
-    Over ``QQ`` matrices are ``Matrix`` objects; over ``GF_P`` they are
-    ``Residues``.  Over ``GF_P`` every division by a residue 0 raises
-    ZeroDivisionError, which callers read as "no certificate".
-    """
-
-    reduce: Callable  # Matrix -> matrix of this field
-    matrix: Callable  # rows -> matrix
-    det: Callable
-    inverse: Callable
-    adjugate: Callable
-    matmul: Callable
-    trace_product: Callable
-    scale: Callable  # (matrix, scalar) -> matrix
-    sub: Callable  # (matrix, matrix) -> matrix
-    div: Callable  # (scalar, scalar) -> scalar
-
-
-# kernel names are looked up at call time, so rebinding them (to time
-# them, say) reaches field-generic code too
-QQ = Field(
-    reduce=lambda m: m,
-    matrix=Matrix,
-    det=lambda a: det(a),
-    inverse=lambda a: inverse(a),
-    adjugate=lambda a: adjugate(a),
-    matmul=lambda a, b: a @ b,
-    trace_product=lambda a, b: trace_product(a, b),
-    scale=lambda a, s: a * s,
-    sub=lambda a, b: a - b,
-    div=lambda x, y: x / y,
-)
-GF_P = Field(
-    reduce=lambda m: reduce_mod_p(m),
-    matrix=lambda rows: rows,
-    det=lambda a: det_mod_p(a),
-    inverse=lambda a: inverse_mod_p(a),
-    adjugate=lambda a: adjugate_mod_p(a),
-    matmul=_matmul_mod_p,
-    trace_product=_trace_product_mod_p,
-    scale=lambda a, s: [[x * s % P for x in row] for row in a],
-    sub=lambda a, b: [[(x - y) % P for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)],
-    div=_div_mod_p,
-)
+def rank_mod_p(a: Sequence[Sequence[int]]) -> int:
+    """Rank over GF(P) of integer rows (a lower bound for their rank over Q)."""
+    return len(_bareiss([[x % P for x in row] for row in a], len(a[0]) if a else 0, False, P)[0])
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:

@@ -9,10 +9,8 @@ streams of one seed, so reports are reproducible bit for bit.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .generators_gl import (
     Generator,
@@ -24,18 +22,16 @@ from .generators_gl import (
     nonvanishing_witness,
     s0_monomial_sign,
     s0_monomial_value,
-    stacked_matrix,
 )
 from .generators_osp import build_system, eval_family
 from .linalg import (
-    GF_P,
     P,
-    QQ,
-    Field,
     Matrix,
     adjugate,
+    adjugate_rows,
     det,
     inverse,
+    matmul_rows,
     matrix_to_json,
     minor,
     rank,
@@ -394,59 +390,29 @@ def check_slice_support(shape: FlagShape, seed: int, samples: int, bound: int) -
     return CheckResult("slice_support", not problems, details)
 
 
-def _certified_rank(build) -> int:
-    """Rank over Q of the matrix ``build(field)`` builds.
-
-    The residue rank decides when it reaches min(rows, cols); otherwise, or
-    when the build hits a residue it cannot divide by, the exact build does.
-    """
-    try:
-        residues = build(GF_P)
-        bound = min(len(residues), len(residues[0]) if residues else 0)
-        r = rank_mod_p(residues)
-        del residues  # never hold a residue and an exact matrix at once
-        if r == bound:
-            return r
-    except ZeroDivisionError:
-        pass
-    return rank(build(QQ))
-
-
-def _integers(f: Field, a) -> tuple:
-    """A matrix of f as (integer rows, denominator); residues have denominator 1."""
-    return (a.num, a.den) if f is QQ else (a, 1)
-
-
-def _rows_over(f: Field, rows: list[list[int]], dens: list[int]):
-    """The matrix of f whose row k is the integer row rows[k] / dens[k]."""
-    if f is GF_P:  # residue rows have denominator 1
-        return [[x % P for x in row] for row in rows]
-    den = math.lcm(*dens)
-    return Matrix([[x * (den // d) for x in row] for row, d in zip(rows, dens)]) * Fraction(1, den)
-
-
-def _orbit_matrix(shape: FlagShape, point: Matrix, f: Field):
-    """Rows [point, A] = point @ A - A @ point, flattened, over the radical basis: each
-    nonzero (i, j, v) of A adds v * column i of the point to column j and
-    subtracts v * row j of the point from row i."""
+def _orbit_rows(shape: FlagShape, x) -> list[list[int]]:
+    """Rows [x, A] = x @ A - A @ x of integer rows x, flattened, over the radical
+    basis: each nonzero (i, j, v) of A adds v * column i of x to column j and
+    subtracts v * row j of x from row i."""
     n = shape.n
-    num, den = _integers(f, f.reduce(point))
     rows = []
     for entries in sparse_lie_basis(shape, "radical"):
         out = [0] * (n * n)
         for i, j, v in entries:
             for r in range(n):
-                out[r * n + j] += v * num[r][i]
-                out[i * n + r] -= v * num[j][r]
+                out[r * n + j] += v * x[r][i]
+                out[i * n + r] -= v * x[j][r]
         rows.append(out)
-    return _rows_over(f, rows, [den] * len(rows))
+    return rows
 
 
 def orbit_dimension(shape: FlagShape, point: Matrix) -> int:
-    """Exact rank of A -> [point, A] over the radical basis (see ``_orbit_matrix``)."""
-    if not sparse_lie_basis(shape, "radical"):
-        return 0
-    return _certified_rank(lambda f: _orbit_matrix(shape, point, f))
+    """Exact rank of A -> [point, A] over the radical basis (see ``_orbit_rows``).
+
+    The rows are built on the integer numerator X of point = X / d, which
+    multiplies every row by d and so keeps the rank.
+    """
+    return rank(Matrix(_orbit_rows(shape, point.num)))
 
 
 def check_orbit_dimension(shape: FlagShape, seed: int, bound: int, points: int = 3) -> CheckResult:
@@ -488,135 +454,128 @@ def check_count_identity(shape: FlagShape, generic_orbit: int) -> CheckResult:
     return CheckResult("count_identity", not problems, details)
 
 
-def _submatrix(f: Field, a, rows, cols):
-    """The submatrix of a matrix of f on 1-based rows and cols, in the listed order."""
-    if f is QQ:  # stays on the integer numerators, without building Fractions
-        return a.submatrix([r - 1 for r in rows], [c - 1 for c in cols])
-    return f.matrix([[a[r - 1][c - 1] for c in cols] for r in rows])
+def _reduced(rows: list[list[int]], p: int | None) -> list[list[int]]:
+    return rows if p is None else [[v % p for v in row] for row in rows]
 
 
-def _embed(f: Field, block, rows, cols, n: int):
-    """The n x n matrix of f with block[a][b] at (rows[a], cols[b]), 1-based, zeros elsewhere."""
-    num, den = _integers(f, block)
-    out = [[0] * n for _ in range(n)]
-    for r, line in zip(rows, num):
-        for c, v in zip(cols, line):
-            out[r - 1][c - 1] = v
-    return _rows_over(f, out, [den] * n)
+def _gradients(gens: tuple[Generator, ...], x, p: int | None = None) -> list[list[list[int]]]:
+    """c_g * H for the transposed gradient H = (grad g)^t of each generator at
+    the integer rows x, as integer rows; mod the prime p when given (x reduced).
 
-
-def _gradients(gens: tuple[Generator, ...], point, f: Field) -> list:
-    """The transposed gradient H = (grad g)^t of each generator at the point, over f.
-
-    dg[B] = tr(H B) for every direction B.  By Jacobi's formula
-    d det S = tr(adj(S) dS), a minor on rows R and columns C has H = adj(S)
-    placed on C x R: one adjugate gives the whole gradient (the cheap
-    gradient of Baur and Strassen 1983).  A stacked generator's adjugate
-    K splits into the columns K_x of its X rows R_x, placed on C x R_x,
-    and K_a of its adj(X) rows R_a.  Since d adj(X)[B] = tr(adj(X) B) X^-1
-    - adj(X) B X^-1, the chain rule adds tr(K_a X^-1[R_a, C]) adj(X)
-    - X^-1[:, C] K_a adj(X)[R_a, :].  Ratios follow the quotient rule.
-    The point must be invertible in f when a generator is stacked.
+    dg[B] = tr(H B) for every direction B.  Each c_g is a polynomial in x:
+    - A minor on rows R and columns C has c_g = 1: by Jacobi's formula
+      d det S = tr(adj(S) dS), H is adj(S) placed on C x R, so one adjugate
+      gives the whole gradient (the cheap gradient of Baur and Strassen 1983).
+    - A stacked generator has c_g = det x.  Its adjugate K splits into the
+      columns K_x of its x rows R_x and K_a of its adj(x) rows R_a.  Since
+      d adj(x)[B] = tr(adj(x) B) x^-1 - adj(x) B x^-1 and det(x) x^-1 = adj(x),
+      c_g H = det(x) K_x placed on C x R_x + tr(K_a adj(x)[R_a, C]) adj(x)
+      - adj(x)[:, C] K_a adj(x)[R_a, :].
+    - A ratio N / D has c_g = D(x)^2: by the quotient rule c_g H = D H_N - N H_D.
+    Over Q every c_g is nonzero where a Jacobian is taken, since group points
+    are invertible and the generic position keeps D = M_0 off zero; so each
+    row is a nonzero multiple of the true one and the rank is unchanged.
+    Nothing is divided, so the rows mod p are the exact rows reduced, and a
+    residue rank stays a lower bound even where some c_g vanishes mod p.
     """
-    n = len(_integers(f, point)[0])
-    every = range(1, n + 1)
+    n = len(x)
+
+    def placed(block, rows, cols):
+        """n x n rows with block[a][b] at (rows[a], cols[b]), 1-based, zeros elsewhere."""
+        out = [[0] * n for _ in range(n)]
+        for r, line in zip(rows, block):
+            target = out[r - 1]
+            for c, v in zip(cols, line):
+                target[c - 1] = v
+        return out
+
+    def det_from(s, adj):
+        """det S from adj(S), by Laplace expansion along the first row; 1 for the empty S."""
+        return sum(v * row[0] for v, row in zip(s[0], adj)) if s else 1
+
+    def minor_parts(recipe: MinorRecipe):
+        """The submatrix S of the recipe and adj(S)."""
+        sub = [[x[r - 1][c - 1] for c in recipe.cols] for r in recipe.rows]
+        return sub, adjugate_rows(sub, p)
+
     if any(isinstance(g.recipe, StackedRecipe) for g in gens):
-        x_inv = f.inverse(point)
-        adj_x = f.scale(x_inv, f.det(point))
-
-    def minor_gradient(recipe: MinorRecipe):
-        sub = _submatrix(f, point, recipe.rows, recipe.cols)
-        return _embed(f, f.adjugate(sub), recipe.cols, recipe.rows, n)
-
+        adj_x = adjugate_rows(x, p)
+        det_x = det_from(x, adj_x)
     out = []
     for g in gens:
         recipe = g.recipe
         if isinstance(recipe, MinorRecipe):
-            out.append(minor_gradient(recipe))
+            out.append(placed(minor_parts(recipe)[1], recipe.cols, recipe.rows))
         elif isinstance(recipe, StackedRecipe):
-            k = f.adjugate(stacked_matrix(recipe, point, adj_x, f))
-            cols, span, m = recipe.cols, range(1, len(recipe.cols) + 1), len(recipe.x_rows)
-            k_x, k_a = _submatrix(f, k, span, span[:m]), _submatrix(f, k, span, span[m:])
-            # minus the chain term through d adj(X)
-            chain = f.sub(
-                f.matmul(f.matmul(_submatrix(f, x_inv, every, cols), k_a),
-                         _submatrix(f, adj_x, recipe.adj_rows, every)),
-                f.scale(adj_x, f.trace_product(k_a, _submatrix(f, x_inv, recipe.adj_rows, cols))),
-            )
-            out.append(f.sub(_embed(f, k_x, cols, recipe.x_rows, n), chain))
+            cols = [c - 1 for c in recipe.cols]
+            m = len(recipe.x_rows)
+            adj_a = [adj_x[r - 1] for r in recipe.adj_rows]  # adj(x)[R_a, :]
+            k = adjugate_rows([[x[r - 1][c] for c in cols] for r in recipe.x_rows]
+                              + [[row[c] for c in cols] for row in adj_a], p)
+            k_a = [row[m:] for row in k]
+            t = sum(v * adj_a[b][cols[a]] for a, line in enumerate(k_a) for b, v in enumerate(line))
+            chain = matmul_rows(matmul_rows([[row[c] for c in cols] for row in adj_x], k_a, p), adj_a, p)
+            k_x = placed([row[:m] for row in k], recipe.cols, recipe.x_rows)
+            out.append(_reduced([
+                [det_x * u + t * a - w for u, a, w in zip(*lines)] for lines in zip(k_x, adj_x, chain)
+            ], p))
         else:
             num, den = recipe.numerator, recipe.denominator
-            num_val = f.det(_submatrix(f, point, num.rows, num.cols))
-            den_val = f.det(_submatrix(f, point, den.rows, den.cols))
-            h = f.sub(f.scale(minor_gradient(num), den_val), f.scale(minor_gradient(den), num_val))
-            # f.div raises ZeroDivisionError where the ratio is undefined
-            out.append(f.scale(h, f.div(1, den_val * den_val)))
+            num_sub, num_adj = minor_parts(num)
+            den_sub, den_adj = minor_parts(den)
+            num_val, den_val = det_from(num_sub, num_adj), det_from(den_sub, den_adj)
+            h_num, h_den = placed(num_adj, num.cols, num.rows), placed(den_adj, den.cols, den.rows)
+            out.append(_reduced([
+                [den_val * u - num_val * w for u, w in zip(*lines)] for lines in zip(h_num, h_den)
+            ], p))
     return out
 
 
-def directional_jacobian(gens: tuple[Generator, ...], point, directions: list, field: Field = QQ):
-    """Matrix of directional derivatives, generators by directions, over ``field``.
-
-    ``point`` and ``directions`` are matrices of that field; the point must
-    be invertible there when a generator is stacked.  Entry (g, B) is
-    tr(H B) for the transposed gradient H of g (see ``_gradients``).
-    """
-    grads = _gradients(gens, point, field)
-    return field.matrix([[field.trace_product(h, b) for b in directions] for h in grads])
-
-
-def _tangent_jacobian(shape: FlagShape, gens: tuple[Generator, ...], point: Matrix, f: Field):
-    """Jacobian of gens on the group's tangent space at the point, over f.
+def _tangent_rows(shape: FlagShape, gens: tuple[Generator, ...], x, p: int | None = None) -> list[list[int]]:
+    """Jacobian rows of gens on the group's tangent space at the integer rows x,
+    row g being c_g times the true row (see ``_gradients``); mod p when given.
 
     General linear kinds take the coordinate directions E_ij (row-major),
     where entry tr(H E_ij) is H[j][i], so each row is a gradient.  The
-    other kinds take the left-translated Lie algebra basis point @ A,
-    where tr(H point A) sums v * (H point)[j][i] over the nonzero entries
-    (i, j, v) of A.
+    other kinds take the left-translated Lie algebra basis x @ A, where
+    tr(H x A) sums v * (H x)[j][i] over the nonzero entries (i, j, v) of A.
     """
-    x = f.reduce(point)
-    grads = _gradients(gens, x, f)
+    x = _reduced(x, p)
+    grads = _gradients(gens, x, p)
     if shape.kind is GroupKind.GL:
-        parts = [_integers(f, h) for h in grads]
-        rows = [[v for col in zip(*num) for v in col] for num, _ in parts]
-    else:
-        basis = sparse_lie_basis(shape, "group")
-        parts = [_integers(f, f.matmul(h, x)) for h in grads]
-        rows = [[sum(v * num[j][i] for i, j, v in a) for a in basis] for num, _ in parts]
-    return _rows_over(f, rows, [den for _, den in parts])
+        return [[v for col in zip(*h) for v in col] for h in grads]
+    basis = sparse_lie_basis(shape, "group")
+    hxs = [matmul_rows(h, x, p) for h in grads]
+    return _reduced([[sum(v * hx[j][i] for i, j, v in a) for a in basis] for hx in hxs], p)
 
 
 def independence_rank(shape: FlagShape, point: Matrix) -> dict:
     """Exact Jacobian rank of the generator system on the tangent space at the point.
 
-    Residue ranks decide only where they meet a proven upper bound (see
-    ``parinv.linalg``); the central ratio rows Gamma0 of the
+    The rows are built on the integer numerator X of point = X / d (see
+    ``_tangent_rows``); generators are homogeneous, so each row is a nonzero
+    multiple of the row at the point.  The central ratio rows Gamma0 of the
     orthogonal/symplectic kinds, whose expected rank is below their count,
-    are ranked exactly.  Without a ratio layer Gamma0 is empty, the
-    combined rank is the J rank, and each matrix is ranked once.
+    are ranked exactly.  Since rank(J; Gamma) <= rows(J) + rank(Gamma) and
+    residue ranks are lower bounds, one residue rank of all rows that meets
+    rows(J) + rank(Gamma) certifies both the J rank and the combined rank;
+    otherwise the exact ranks decide.  Without a ratio layer Gamma0 is
+    empty and the combined rank is the J rank.
     """
     system = build_system(shape)
     j_gens, ratios = system.j, system.ratios
+    x = point.num
     # the central factor G0 exists only with a ratio layer (odd ell, O/Sp kinds)
     gamma_expected = dim_g0(shape) if ratios else 0
-    gamma = _tangent_jacobian(shape, ratios, point, QQ) if ratios else None
-    gamma_rank = rank(gamma) if ratios else 0
-    j_rank = combined_rank = None
-    try:
-        jac = _tangent_jacobian(shape, j_gens + ratios, point, GF_P)
-        if rank_mod_p(jac[: len(j_gens)]) == len(j_gens):
-            j_rank = len(j_gens)
-            # rank(J; Gamma) <= rows(J) + rank(Gamma), and residue ranks are lower bounds
-            if not ratios or rank_mod_p(jac) == len(j_gens) + gamma_rank:
-                combined_rank = len(j_gens) + gamma_rank
-        del jac
-    except ZeroDivisionError:
-        pass
-    if combined_rank is None:
-        j_jac = _tangent_jacobian(shape, j_gens, point, QQ)
-        if j_rank is None:
-            j_rank = rank(j_jac)
-        combined_rank = rank(Matrix.from_blocks([[j_jac], [gamma]])) if ratios else j_rank
+    gamma = _tangent_rows(shape, ratios, x)
+    gamma_rank = rank(Matrix(gamma)) if ratios else 0
+    bound = len(j_gens) + gamma_rank
+    if rank_mod_p(_tangent_rows(shape, j_gens + ratios, x, P)) == bound:
+        j_rank, combined_rank = len(j_gens), bound
+    else:
+        j_jac = _tangent_rows(shape, j_gens, x)
+        j_rank = rank(Matrix(j_jac))
+        combined_rank = rank(Matrix(j_jac + gamma)) if ratios else j_rank
     return {
         "rank": combined_rank,
         "expected": len(j_gens) + gamma_expected,

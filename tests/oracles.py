@@ -1,14 +1,18 @@
-"""Independent test oracles: first-row cofactor expansion only.
+"""Independent test oracles: first-row cofactor expansion, polynomial
+interpolation, forward-mode derivatives, dense commutators and a plain
+Fraction Gauss-Jordan nullspace.
 
 Deliberately naive and separate from the library's elimination-based
-paths; works over any commutative ring.
+paths; the cofactor expansions work over any commutative ring.
 """
 import math
+import operator
 from fractions import Fraction
 from itertools import combinations
+from typing import Callable, NamedTuple
 
 from parinv.generators_gl import MinorRecipe, RatioRecipe, StackedRecipe, stacked_matrix
-from parinv.linalg import QQ, P, Matrix, nullspace_basis
+from parinv.linalg import P, Matrix, adjugate, adjugate_rows, det, inverse, reduce_mod_p, trace_product
 from parinv.sampling import form_matrix, lie_algebra_basis
 from parinv.shapes import GroupKind, make_shape
 
@@ -115,6 +119,32 @@ def form_equation_by_product(kind, m: Matrix) -> bool:
     return m.transpose() @ f @ m == f
 
 
+def nullspace_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
+    """Basis of {v : m @ v = 0}, one vector per free column of the reduced row
+    echelon form, by plain Gauss-Jordan elimination over Fractions."""
+    rows = [list(r) for r in m.rows]
+    pivots = []
+    for c in range(m.ncols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c] != 0:
+                rows[i] = [a - row[c] * b for a, b in zip(row, rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(m.ncols) if c not in pivots):
+        v = [Fraction(0)] * m.ncols
+        v[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][free]
+        basis.append(tuple(v))
+    return basis
+
+
 def lie_basis_by_nullspace(shape, which):
     """O/Sp Lie basis as the exact nullspace of the n^2 entries of A^t F + F A
     over the allowed positions (row-major; strictly-upper blocks for the radical)."""
@@ -143,13 +173,92 @@ def lie_basis_by_nullspace(shape, which):
     return tuple(basis)
 
 
-def _submatrix(f, a, recipe):
-    rows = a.rows if f is QQ else a
-    return f.matrix([[rows[r - 1][c - 1] for c in recipe.cols] for r in recipe.rows])
+class Field(NamedTuple):
+    """The operations the forward-mode oracle needs over one field.
+
+    Over ``QQ`` matrices are ``Matrix`` objects; over ``GF_P`` they are
+    lists of residue rows, and dividing by a residue 0 raises.
+    """
+
+    reduce: Callable  # Matrix -> matrix of this field
+    det: Callable
+    inverse: Callable
+    adjugate: Callable
+    matmul: Callable
+    trace_product: Callable
+    scale: Callable  # (matrix, scalar) -> matrix
+    sub: Callable  # (matrix, matrix) -> matrix
+    div: Callable  # (scalar, scalar) -> scalar
+    submatrix: Callable  # (matrix, 1-based rows, 1-based cols) -> matrix
+    stacked: Callable  # (stacked recipe, top, bottom) -> matrix
+
+
+def _gauss_jordan_mod_p(a):
+    """(det, inverse or None) of square residue rows, by Gauss-Jordan elimination mod P."""
+    n = len(a)
+    aug = [[x % P for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    d = 1
+    for c in range(n):
+        k = next((i for i in range(c, n) if aug[i][c]), None)
+        if k is None:
+            return 0, None
+        if k != c:
+            aug[c], aug[k] = aug[k], aug[c]
+            d = -d
+        d = d * aug[c][c] % P
+        inv = pow(aug[c][c], -1, P)
+        aug[c] = [v * inv % P for v in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [(u - f * w) % P for u, w in zip(aug[i], aug[c])]
+    return d % P, [row[n:] for row in aug]
+
+
+def _inverse_mod_p(a):
+    inv = _gauss_jordan_mod_p(a)[1]
+    if inv is None:
+        raise ZeroDivisionError("singular mod P")
+    return inv
+
+
+def _rows_at(a, rows, cols):
+    return [[a[r - 1][c - 1] for c in cols] for r in rows]
+
+
+QQ = Field(
+    reduce=lambda m: m,
+    det=det,
+    inverse=inverse,
+    adjugate=adjugate,
+    matmul=operator.matmul,
+    trace_product=trace_product,
+    scale=operator.mul,
+    sub=operator.sub,
+    div=operator.truediv,
+    submatrix=lambda a, rows, cols: a.submatrix([r - 1 for r in rows], [c - 1 for c in cols]),
+    stacked=stacked_matrix,
+)
+GF_P = Field(
+    reduce=reduce_mod_p,
+    det=lambda a: _gauss_jordan_mod_p(a)[0],
+    inverse=_inverse_mod_p,
+    adjugate=lambda a: adjugate_rows(a, P),
+    matmul=lambda a, b: [[sum(map(operator.mul, row, col)) % P for col in zip(*b)] for row in a],
+    trace_product=lambda a, b: sum(sum(map(operator.mul, row, col)) for row, col in zip(a, zip(*b))) % P,
+    scale=lambda a, s: [[x * s % P for x in row] for row in a],
+    sub=lambda a, b: [[(x - y) % P for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)],
+    div=lambda x, y: x * pow(y, -1, P) % P,
+    submatrix=_rows_at,
+    stacked=lambda recipe, top, bottom: (
+        _rows_at(top, recipe.x_rows, recipe.cols) + _rows_at(bottom, recipe.adj_rows, recipe.cols)
+    ),
+)
 
 
 def forward_jacobian(gens, point, directions, f=QQ):
-    """Forward-mode directional derivatives, generators by directions, over the field f.
+    """Forward-mode directional derivatives, generators by directions, over the field f,
+    as a list of rows.
 
     One k x k submatrix and trace product per (generator, direction) pair,
     and d adj(X)[B] = tr(adj(X) B) X^-1 - adj(X) B X^-1 formed from two
@@ -162,12 +271,12 @@ def forward_jacobian(gens, point, directions, f=QQ):
     for g in gens:
         recipe = g.recipe
         if isinstance(recipe, MinorRecipe):
-            prepared.append(f.adjugate(_submatrix(f, point, recipe)))
+            prepared.append(f.adjugate(f.submatrix(point, recipe.rows, recipe.cols)))
         elif isinstance(recipe, StackedRecipe):
-            prepared.append(f.adjugate(stacked_matrix(recipe, point, adj_x, f)))
+            prepared.append(f.adjugate(f.stacked(recipe, point, adj_x)))
         else:
-            num_sub = _submatrix(f, point, recipe.numerator)
-            den_sub = _submatrix(f, point, recipe.denominator)
+            num_sub = f.submatrix(point, recipe.numerator.rows, recipe.numerator.cols)
+            den_sub = f.submatrix(point, recipe.denominator.rows, recipe.denominator.cols)
             den_val = f.det(den_sub)
             if den_val == 0:
                 raise ZeroDivisionError("ratio generator undefined at this point")
@@ -178,20 +287,27 @@ def forward_jacobian(gens, point, directions, f=QQ):
         for g, prep, row in zip(gens, prepared, rows):
             recipe = g.recipe
             if isinstance(recipe, MinorRecipe):
-                row.append(f.trace_product(prep, _submatrix(f, b, recipe)))
+                row.append(f.trace_product(prep, f.submatrix(b, recipe.rows, recipe.cols)))
             elif isinstance(recipe, StackedRecipe):
                 if d_adj is None:
                     d_adj = f.sub(
                         f.scale(x_inv, f.trace_product(adj_x, b)),
                         f.matmul(f.matmul(adj_x, b), x_inv),
                     )
-                row.append(f.trace_product(prep, stacked_matrix(recipe, b, d_adj, f)))
+                row.append(f.trace_product(prep, f.stacked(recipe, b, d_adj)))
             else:
                 adj_num, num_val, adj_den, den_val = prep
-                d_num = f.trace_product(adj_num, _submatrix(f, b, recipe.numerator))
-                d_den = f.trace_product(adj_den, _submatrix(f, b, recipe.denominator))
+                num, den = recipe.numerator, recipe.denominator
+                d_num = f.trace_product(adj_num, f.submatrix(b, num.rows, num.cols))
+                d_den = f.trace_product(adj_den, f.submatrix(b, den.rows, den.cols))
                 row.append(f.div(d_num * den_val - num_val * d_den, den_val * den_val))
-    return f.matrix(rows)
+    return rows
+
+
+def trace_pairing(h, b) -> int:
+    """tr(h @ b) of two square lists of rows: the derivative of a function
+    with transposed gradient h in the direction b."""
+    return sum(h[r][c] * b[c][r] for r in range(len(h)) for c in range(len(h)))
 
 
 def tangent_directions(shape, point, f):

@@ -104,6 +104,21 @@ def test_eval_rejects_non_group_matrix_for_osp(tmp_path, capsys):
     assert "form equation" in err
 
 
+def test_eval_rejects_non_group_matrix_for_gl_and_sl(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for group, matrix, equation in (
+        ("gl", [["1", "2"], ["2", "4"]], "det != 0"),  # singular
+        ("sl", [["1", "2"], ["2", "4"]], "det = 1"),
+        ("sl", [["2", "0"], ["0", "1"]], "det = 1"),  # det 2
+    ):
+        path.write_text(json.dumps(matrix))
+        code, out, err = run_cli(
+            capsys, "eval", "--group", group, "--n", "2", "--parts", "1,1", "--matrix", str(path)
+        )
+        assert code == 2
+        assert out == "" and f"defining equation {equation} of {group}(2)" in err
+
+
 def test_eval_size_mismatch(tmp_path, capsys):
     path = tmp_path / "small.json"
     path.write_text(json.dumps(matrix_to_json(Matrix.identity(3))))
@@ -115,7 +130,8 @@ def test_eval_size_mismatch(tmp_path, capsys):
 
 def test_eval_bad_file(tmp_path, capsys):
     path = tmp_path / "garbage.json"
-    for text in ("not json", json.dumps([["1/0", "0"], ["0", "1"]])):
+    # a JSON boolean is an int subclass in Python, but not a matrix entry
+    for text in ("not json", json.dumps([["1/0", "0"], ["0", "1"]]), "[[1, 2], [3, true]]"):
         path.write_text(text)
         code, out, err = run_cli(
             capsys, "eval", "--group", "gl", "--n", "2", "--parts", "1,1", "--matrix", str(path)

@@ -14,12 +14,12 @@ from parinv.generators_gl import (
     s0_monomial_value,
 )
 from parinv.generators_osp import build_system, eval_family
-from parinv.linalg import GF_P, Matrix, adjugate, det, inverse, reduce_mod_p
+from parinv.linalg import P, Matrix, adjugate, det, inverse
 from parinv.sampling import Rng, sample_group_point, sample_slice, sample_unipotent_radical
 from parinv.shapes import IndexPair, ShapeError, index_set, make_shape
-from parinv.verification import directional_jacobian
+from parinv import verification
 
-from oracles import derivative_at_zero, eval_descriptor_cofactor, fraction_mod_p
+from oracles import derivative_at_zero, eval_descriptor_cofactor, fraction_mod_p, trace_pairing
 
 GL5 = make_shape("gl", 5, (1, 2, 2))
 SL5 = make_shape("sl", 5, (1, 2, 2))
@@ -193,16 +193,17 @@ def test_s0_sign_rejects_lower_pairs():
 
 
 def test_dual_eval_matches_cofactor_dual_oracle():
-    """First derivatives f'(m)[b] (the dual part of f(m + eps b)) from
-    directional_jacobian, over QQ and GF_P, against interpolation."""
+    """First derivatives f'(m)[b] (the dual part of f(m + eps b)) from the
+    integer gradients, exact and mod P, against interpolation: the gradient
+    of a minor is exact, that of a stacked generator carries the factor det m."""
     rng = Rng(57)
     m = random_invertible(rng, 5)
     b = Matrix([[rng.randint(-4, 4) for _ in range(5)] for _ in range(5)])
     gens = build_generators(GL5)
     assert {type(g.recipe) for g in gens} == {MinorRecipe, StackedRecipe}
-    exact = directional_jacobian(gens, m, [b])
-    residues = directional_jacobian(gens, reduce_mod_p(m), [reduce_mod_p(b)], GF_P)
-    for g, exact_row, residue_row in zip(gens, exact.rows, residues):
+    exact = verification._gradients(gens, m.num)
+    residues = verification._gradients(gens, [[x % P for x in row] for row in m.num], P)
+    for g, h, h_mod_p in zip(gens, exact, residues):
         # independent derivative oracle: f(m + t b) is a polynomial in t
         # (degree |x_rows| + 4 |adj_rows| at worst), so exact interpolation
         # of cofactor-expansion values recovers its linear coefficient,
@@ -215,8 +216,9 @@ def test_dual_eval_matches_cofactor_dual_oracle():
         )
         nodes = [Fraction(k) for k in range(degree + 1)]
         deriv = derivative_at_zero(nodes, [eval_descriptor_cofactor(g, m + b * u) for u in nodes])
-        assert exact_row == (deriv,)
-        assert residue_row == [fraction_mod_p(deriv)]
+        scale = 1 if isinstance(recipe, MinorRecipe) else det(m)
+        assert trace_pairing(h, b.num) == scale * deriv
+        assert trace_pairing(h_mod_p, b.num) % P == fraction_mod_p(scale * deriv)
 
 
 def test_descriptor_json():

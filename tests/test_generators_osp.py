@@ -10,12 +10,12 @@ from parinv.generators_gl import (
     eval_generator,
 )
 from parinv.generators_osp import GeneratorSystem, build_system, corner_minor_recipe, eval_family
-from parinv.linalg import GF_P, Matrix, inverse, minor, reduce_mod_p
+from parinv.linalg import P, Matrix, inverse, minor
 from parinv.sampling import Rng, sample_group_point, sample_unipotent_radical
 from parinv.shapes import IndexPair, index_set, make_shape
-from parinv.verification import directional_jacobian
+from parinv import verification
 
-from oracles import derivative_at_zero, fraction_mod_p, minor_cofactor
+from oracles import derivative_at_zero, fraction_mod_p, minor_cofactor, trace_pairing
 
 O4 = make_shape("o", 4, (2, 2))
 O5 = make_shape("o", 5, (1, 3, 1))
@@ -172,18 +172,21 @@ def test_ratio_derivatives_match_interpolation_oracle(shape):
     )
     rng = Rng(66)
     b = Matrix([[rng.randint(-4, 4) for _ in range(shape.n)] for _ in range(shape.n)])
-    exact = directional_jacobian(system.ratios, x, [b])
-    residues = directional_jacobian(system.ratios, reduce_mod_p(x), [reduce_mod_p(b)], GF_P)
+    # the gradients are taken at the integer numerator X of x = X / d
+    big = Matrix(x.num)
+    exact = verification._gradients(system.ratios, big.num)
+    residues = verification._gradients(system.ratios, [[v % P for v in row] for row in big.num], P)
 
     def value_and_derivative(recipe):
-        # a k x k minor of x + t b is a polynomial of degree k in t
+        # a k x k minor of X + t b is a polynomial of degree k in t
         nodes = [Fraction(k) for k in range(len(recipe.rows) + 1)]
-        vals = [minor_cofactor(x + b * u, recipe.rows, recipe.cols) for u in nodes]
+        vals = [minor_cofactor(big + b * u, recipe.rows, recipe.cols) for u in nodes]
         return vals[0], derivative_at_zero(nodes, vals)
 
-    for gen, exact_row, residue_row in zip(system.ratios, exact.rows, residues):
+    for gen, h, h_mod_p in zip(system.ratios, exact, residues):
         num, d_num = value_and_derivative(gen.recipe.numerator)
         den, d_den = value_and_derivative(gen.recipe.denominator)
         want = (d_num * den - num * d_den) / (den * den)  # the quotient rule
-        assert exact_row == (want,)
-        assert residue_row == [fraction_mod_p(want)]
+        scale = den * den  # a ratio's gradient carries the factor D^2
+        assert trace_pairing(h, b.num) == scale * want
+        assert trace_pairing(h_mod_p, b.num) % P == fraction_mod_p(scale * want)
