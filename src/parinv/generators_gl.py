@@ -6,18 +6,32 @@ segment, columns 1..j); pairs strictly below get the determinant of a
 stacked matrix whose top rows come from X and bottom rows from the
 adjugate X*, all restricted to columns 1..j.  Row and column lists are
 evaluated in the exact order stored, which fixes every sign.
+
+A value is read on integer numerators: ``recipe_rows`` picks the
+recipe's square integer rows out of the numerator rows of X (and of X*),
+and the determinant of those rows is divided once by the denominators
+of the rows taken.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, adjugate, det, minor
+from .linalg import Matrix, adjugate, det_rows
 from .shapes import FlagShape, GroupKind, IndexPair, ShapeError, index_set
 
 
 class RatioUndefinedError(ZeroDivisionError):
     """The denominator minor vanishes at this point; resample, not a bug."""
+
+
+def _check_indices(**lists: tuple[int, ...]):
+    """Every index is 1-based and no list repeats one (an index past n fails on evaluation)."""
+    for name, lst in lists.items():
+        if any(i < 1 for i in lst):
+            raise ShapeError(f"{name} indices must be at least 1, got {list(lst)}")
+        if len(set(lst)) != len(lst):
+            raise ShapeError(f"duplicate {name} indices in {list(lst)}")
 
 
 @dataclass(frozen=True)
@@ -28,6 +42,7 @@ class MinorRecipe:
     def __post_init__(self):
         if len(self.rows) != len(self.cols):
             raise ShapeError("minor recipe needs equally many rows and columns")
+        _check_indices(rows=self.rows, cols=self.cols)
 
 
 @dataclass(frozen=True)
@@ -39,6 +54,7 @@ class StackedRecipe:
     def __post_init__(self):
         if len(self.x_rows) + len(self.adj_rows) != len(self.cols):
             raise ShapeError("stacked recipe needs |x_rows| + |adj_rows| = |cols|")
+        _check_indices(x_rows=self.x_rows, adj_rows=self.adj_rows, cols=self.cols)
 
 
 @dataclass(frozen=True)
@@ -78,29 +94,37 @@ def build_generators(shape: FlagShape) -> tuple[Generator, ...]:
     return tuple(out)
 
 
-def stacked_matrix(recipe: StackedRecipe, top: Matrix, bottom: Matrix) -> Matrix:
-    """Assemble the recipe's rows from two sources, columns restricted."""
-    cols0 = [c - 1 for c in recipe.cols]
-    return Matrix.from_blocks([
-        [top.submatrix([r - 1 for r in recipe.x_rows], cols0)],
-        [bottom.submatrix([r - 1 for r in recipe.adj_rows], cols0)],
-    ])
+def recipe_rows(recipe: MinorRecipe | StackedRecipe, x, adj=None) -> list[list[int]]:
+    """Fresh square rows of the recipe's matrix: the rows of x, then (stacked
+    only) the rows of adj, restricted to the recipe's columns, all 1-based
+    and in the stored order.  An index past the size of x raises IndexError.
+    """
+    cols = [c - 1 for c in recipe.cols]
+    if isinstance(recipe, MinorRecipe):
+        return [[x[r - 1][c] for c in cols] for r in recipe.rows]
+    return ([[x[r - 1][c] for c in cols] for r in recipe.x_rows]
+            + [[adj[r - 1][c] for c in cols] for r in recipe.adj_rows])
+
+
+def _recipe_value(recipe: MinorRecipe | StackedRecipe, point: Matrix, adj: Matrix | None) -> Fraction:
+    """The determinant of the recipe's numerator rows over the denominators of the rows taken."""
+    if isinstance(recipe, MinorRecipe):
+        return Fraction(det_rows(recipe_rows(recipe, point.num)), point.den ** len(recipe.rows))
+    if adj is None:
+        adj = adjugate(point)
+    rows = recipe_rows(recipe, point.num, adj.num)
+    return Fraction(det_rows(rows), point.den ** len(recipe.x_rows) * adj.den ** len(recipe.adj_rows))
 
 
 def eval_generator(gen: Generator, point: Matrix, adj: Matrix | None = None) -> Fraction:
     """Exact value of a generator at the point; pass adj to reuse the adjugate."""
     recipe = gen.recipe
-    if isinstance(recipe, MinorRecipe):
-        return minor(point, recipe.rows, recipe.cols)
-    if isinstance(recipe, StackedRecipe):
-        if adj is None:
-            adj = adjugate(point)
-        return det(stacked_matrix(recipe, point, adj))
-    num = minor(point, recipe.numerator.rows, recipe.numerator.cols)
-    den = minor(point, recipe.denominator.rows, recipe.denominator.cols)
+    if not isinstance(recipe, RatioRecipe):
+        return _recipe_value(recipe, point, adj)
+    den = _recipe_value(recipe.denominator, point, None)
     if den == 0:
         raise RatioUndefinedError("ratio undefined at this point")
-    return num / den
+    return _recipe_value(recipe.numerator, point, None) / den
 
 
 def nonvanishing_witness(shape: FlagShape, pair: IndexPair) -> Matrix:
@@ -153,10 +177,11 @@ def s0_monomial_value(sign: int, pair: IndexPair, point: Matrix) -> Fraction:
     """
     n = point.nrows
     i, j = pair
-    value = Fraction(sign)
+    num = point.num
+    value = sign * num[i - 1][j - 1]
     for t in range(1, j):
-        value *= point.rows[n - t][t - 1]
-    return value * point.rows[i - 1][j - 1]
+        value *= num[n - t][t - 1]
+    return Fraction(value, point.den ** j)
 
 
 def _minor_json(recipe: MinorRecipe) -> dict:

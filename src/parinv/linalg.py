@@ -3,12 +3,12 @@
 A ``Matrix`` holds integer numerator rows ``num`` over one positive
 denominator ``den``, with gcd(den, every entry) = 1, so (num, den) is
 canonical and equality and hashing compare integers.  Arithmetic
-(``+``, ``-``, scalar ``*``, ``@``, transposes, submatrices, blocks,
-traces) runs on the integers; the ``fractions.Fraction`` entries
-(``rows``) are built on first access and cached, for JSON and for
-callers that read entries.  Scalars returned (determinants, minors,
-traces) are Fractions.  This is the common-denominator form of rational
-matrices (FLINT's ``fmpq_mat`` to ``fmpz_mat``).
+(``+``, ``-``, scalar ``*``, ``@``, transposes, submatrices, blocks)
+runs on the integers; the ``fractions.Fraction`` entries (``rows``) are
+built on first access and cached, for JSON and for callers that read
+entries.  Scalars returned (determinants, minors) are Fractions.  This
+is the common-denominator form of rational matrices (FLINT's
+``fmpq_mat`` to ``fmpz_mat``).
 
 Every determinant, adjugate, inverse and rank is read off one
 fraction-free Bareiss Gauss-Jordan elimination (``_bareiss``) of integer
@@ -16,21 +16,21 @@ rows with one optional prime modulus: ``p=None`` is exact, ``p=P`` works
 on residues.  Over Q each row is cleared of the denominator by its own
 scale den / gcd(den, row).  A regular matrix's adjugate and inverse come
 from eliminating [X | E]; a singular one's adjugate falls back to signed
-cofactors.  ``adjugate_rows`` and ``matmul_rows`` are the integer-row
-kernels, with the same optional modulus, that the tangent Jacobians are
-built on.
+cofactors.  ``det_rows``, ``adjugate_rows`` and ``matmul_rows`` are the
+integer-row kernels, with the same optional modulus: generator values
+are determinants of integer numerator rows, and the tangent Jacobians
+are built on the same rows.
 
-A rank does not change when a row is multiplied by a nonzero number, so
-a matrix may be ranked on any nonzero multiples of its rows: ``rank``
-takes the numerator rows, each divided by its content.  Ranks are
-certified modulo the fixed prime P = 2^61 - 1.  Reducing integer rows
-mod P maps every minor to its residue, so rank mod P <= rank over Q, and
-a residue rank is accepted only when it meets a proven upper bound on the
-rational rank: min(rows, cols), or, for the orthogonal/symplectic tangent
-Jacobian, rows(J) + the exact rank of the central ratio rows.  In every
-other case (a smaller residue rank, a denominator divisible by P) the
-exact rational rank decides.  P is a constant, not a random draw, so
-every report stays deterministic.
+A rank does not change when the matrix or a row is multiplied by a
+nonzero number, so ``rank`` works on the numerator rows alone.  Ranks
+are certified modulo the fixed prime P = 2^61 - 1.  Every minor of the
+integer rows reduces to the residue of that minor, so rank mod P <= rank
+over Q, and a residue rank is accepted only when it meets a proven upper
+bound on the rational rank: min(rows, cols), or, for the
+orthogonal/symplectic tangent Jacobian, rows(J) + the exact rank of the
+central ratio rows.  In every other case the exact rational rank, on
+the numerator rows each divided by its content, decides.  P is a
+constant, not a random draw, so every report stays deterministic.
 """
 from __future__ import annotations
 
@@ -203,10 +203,6 @@ class Matrix:
         n, num = self.nrows, self.num
         return _make([[num[n - 1 - c][n - 1 - r] for c in range(n)] for r in range(n)], self.den)
 
-    def trace(self) -> Fraction:
-        self._require_square()
-        return Fraction(sum(self.num[i][i] for i in range(self.nrows)), self.den)
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         """Submatrix by 0-based index lists, taken in the listed order."""
         num = self.num
@@ -287,7 +283,7 @@ def _bareiss(a: list[list[int]], ncols: int, upward: bool, p: int | None = None)
     return pivots, sign, prev
 
 
-def _det_rows(a: list[list[int]], p: int | None = None) -> int:
+def det_rows(a: list[list[int]], p: int | None = None) -> int:
     """Determinant of square integer rows (consumed), mod p when given."""
     pivots, sign, last = _bareiss(a, len(a), False, p)
     if len(pivots) < len(a):
@@ -318,7 +314,7 @@ def _adjugate_rows(a: Sequence[Sequence[int]], p: int | None = None) -> list[lis
         n = len(a)
         adj = [
             [
-                (-1) ** (r + c) * _det_rows([[*row[:r], *row[r + 1:]] for k, row in enumerate(a) if k != c], p)
+                (-1) ** (r + c) * det_rows([[*row[:r], *row[r + 1:]] for k, row in enumerate(a) if k != c], p)
                 for c in range(n)
             ]
             for r in range(n)
@@ -343,7 +339,7 @@ def det(m: Matrix) -> Fraction:
     """Exact determinant: sign * last Bareiss pivot / product of the row scales."""
     m._require_square()
     a, scales = _integer_rows(m)
-    return Fraction(_det_rows(a), math.prod(scales))
+    return Fraction(det_rows(a), math.prod(scales))
 
 
 def adjugate(m: Matrix) -> Matrix:
@@ -378,16 +374,13 @@ def minor(m: Matrix, row_list: Sequence[int], col_list: Sequence[int]) -> Fracti
 def rank(m: Matrix) -> int:
     """Exact rank over the rationals; a full residue rank mod P certifies it.
 
-    The rank of m is that of its numerator rows, and it does not change when
-    a row is divided by its content gcd(row), which keeps the exact
-    elimination on the smallest integers.
+    The rank of m is that of its numerator rows, whatever the denominator,
+    and it does not change when a row is divided by its content gcd(row),
+    which keeps the exact elimination on the smallest integers.
     """
     bound = min(m.nrows, m.ncols)
-    try:
-        if rank_mod_p(reduce_mod_p(m)) == bound:
-            return bound
-    except ZeroDivisionError:
-        pass  # a denominator divisible by P: no certificate
+    if rank_mod_p(m.num) == bound:
+        return bound
     a = [[x // g for x in row] if (g := math.gcd(*row)) > 1 else list(row) for row in m.num]
     return len(_bareiss(a, m.ncols, False)[0])
 
@@ -405,31 +398,7 @@ def inverse(m: Matrix) -> Matrix:
     return _make([[x * s for x, s in zip(row, scales)] for row in right], last)
 
 
-def trace_product(a: Matrix, b: Matrix) -> Fraction:
-    """trace(a @ b) without forming the product."""
-    if a.ncols != b.nrows or a.nrows != b.ncols:
-        raise DimensionError("trace(a @ b) needs compatible shapes")
-    total = sum(sum(map(operator.mul, row, col)) for row, col in zip(a.num, zip(*b.num)))
-    return Fraction(total, a.den * b.den)
-
-
 P = (1 << 61) - 1  # the Mersenne prime of every residue certificate
-
-Residues = list[list[int]]  # a matrix mod P: rows of ints in [0, P)
-
-
-def reduce_mod_p(m: Matrix) -> Residues:
-    """Entries of m mod P; ZeroDivisionError if a denominator is divisible by P.
-
-    P divides the common denominator exactly when it divides some entry's
-    lowest-terms denominator.
-    """
-    if m.den == 1:
-        return [[x % P for x in row] for row in m.num]
-    if m.den % P == 0:
-        raise ZeroDivisionError("denominator divisible by P")
-    inv = pow(m.den, -1, P)
-    return [[x * inv % P for x in row] for row in m.num]
 
 
 def rank_mod_p(a: Sequence[Sequence[int]]) -> int:

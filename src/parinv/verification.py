@@ -20,6 +20,7 @@ from .generators_gl import (
     descriptor_to_json,
     eval_generator,
     nonvanishing_witness,
+    recipe_rows,
     s0_monomial_sign,
     s0_monomial_value,
 )
@@ -169,14 +170,16 @@ def check_golden_values(shape: FlagShape) -> CheckResult:
     problems = []
     details: dict = {"golden": "generic"}
     key = (shape.kind, shape.n, shape.parts)
+    gl_kind = shape.kind in (GroupKind.GL, GroupKind.SL)
+    gl_gens = build_generators(shape) if gl_kind else ()
     if key == _EXAMPLE_GL:
         details["golden"] = "gl5-1,2,2"
-        gens = {g.pair: g for g in build_generators(shape)}
+        gens = {g.pair: g for g in gl_gens}
         expected_pairs = [
             (5, 1), (4, 1), (5, 2), (4, 2), (5, 3), (4, 3), (3, 3), (2, 3),
             (5, 4), (4, 4), (3, 4), (2, 4), (5, 5), (4, 5), (3, 5), (2, 5), (1, 5),
         ]
-        if [tuple(g.pair) for g in build_generators(shape)] != expected_pairs:
+        if [tuple(g.pair) for g in gl_gens] != expected_pairs:
             problems.append("pair list differs from the worked 17-pair example")
         if gens[IndexPair(5, 1)].recipe != MinorRecipe((5,), (1,)):
             problems.append("J(5,1) should be the bare entry x_51")
@@ -207,10 +210,10 @@ def check_golden_values(shape: FlagShape) -> CheckResult:
         if system.m0 != MinorRecipe((6, 7, 8), (1, 2, 3)):
             problems.append("corner minor should take rows 6,7,8 against columns 1,2,3")
         details["counts"] = {"pairs": len(idx.pairs), "ratios": len(system.ratios)}
-    if shape.kind in (GroupKind.GL, GroupKind.SL):
+    if gl_kind:
         bad = [
             list(g.pair)
-            for g in build_generators(shape)
+            for g in gl_gens
             if eval_generator(g, nonvanishing_witness(shape, g.pair)) == 0
         ]
         details["deterministic_witnesses_ok"] = not bad
@@ -495,7 +498,7 @@ def _gradients(gens: tuple[Generator, ...], x, p: int | None = None) -> list[lis
 
     def minor_parts(recipe: MinorRecipe):
         """The submatrix S of the recipe and adj(S)."""
-        sub = [[x[r - 1][c - 1] for c in recipe.cols] for r in recipe.rows]
+        sub = recipe_rows(recipe, x)
         return sub, adjugate_rows(sub, p)
 
     if any(isinstance(g.recipe, StackedRecipe) for g in gens):
@@ -510,10 +513,10 @@ def _gradients(gens: tuple[Generator, ...], x, p: int | None = None) -> list[lis
             cols = [c - 1 for c in recipe.cols]
             m = len(recipe.x_rows)
             adj_a = [adj_x[r - 1] for r in recipe.adj_rows]  # adj(x)[R_a, :]
-            k = adjugate_rows([[x[r - 1][c] for c in cols] for r in recipe.x_rows]
-                              + [[row[c] for c in cols] for row in adj_a], p)
+            s = recipe_rows(recipe, x, adj_x)  # its rows from m on are adj(x)[R_a, C]
+            k = adjugate_rows(s, p)
             k_a = [row[m:] for row in k]
-            t = sum(v * adj_a[b][cols[a]] for a, line in enumerate(k_a) for b, v in enumerate(line))
+            t = sum(v * s[m + b][a] for a, line in enumerate(k_a) for b, v in enumerate(line))
             chain = matmul_rows(matmul_rows([[row[c] for c in cols] for row in adj_x], k_a, p), adj_a, p)
             k_x = placed([row[:m] for row in k], recipe.cols, recipe.x_rows)
             out.append(_reduced([
@@ -599,7 +602,7 @@ def _in_generic_position(shape: FlagShape, x: Matrix) -> bool:
     system = build_system(shape)
     if any(eval_generator(g, x, adj) == 0 for g in system.j):
         return False
-    return system.m0 is None or minor(x, system.m0.rows, system.m0.cols) != 0
+    return system.m0 is None or eval_generator(Generator(None, system.m0), x, adj) != 0
 
 
 def check_independence(shape: FlagShape, seed: int, bound: int, points: int = 3) -> CheckResult:

@@ -11,26 +11,35 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, NamedTuple
 
-from parinv.generators_gl import MinorRecipe, RatioRecipe, StackedRecipe, stacked_matrix
-from parinv.linalg import P, Matrix, adjugate, adjugate_rows, det, inverse, reduce_mod_p, trace_product
+from parinv.generators_gl import MinorRecipe, RatioRecipe, StackedRecipe
+from parinv.linalg import P, Matrix, adjugate, adjugate_rows, det, inverse
 from parinv.sampling import form_matrix, lie_algebra_basis
 from parinv.shapes import GroupKind, make_shape
 
 
 def det_cofactor(rows):
+    """First-row cofactor expansion; each minor on the last rows is expanded once
+    per set of columns it keeps, so an n x n determinant costs about n 2^n terms."""
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    if n == 1:
-        return rows[0][0]
-    total = None
-    for j in range(n):
-        sub = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * det_cofactor(sub)
-        if j % 2 == 1:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    memo = {}
+
+    def expand(cols):  # the minor on the last len(cols) rows and the columns cols
+        r = n - len(cols)
+        if len(cols) == 1:
+            return rows[r][cols[0]]
+        if cols not in memo:
+            total = None
+            for k, c in enumerate(cols):
+                term = rows[r][c] * expand(cols[:k] + cols[k + 1:])
+                if k % 2 == 1:
+                    term = -term
+                total = term if total is None else total + term
+            memo[cols] = total
+        return memo[cols]
+
+    return expand(tuple(range(n)))
 
 
 def adjugate_cofactor(rows):
@@ -48,13 +57,15 @@ def minor_cofactor(m: Matrix, row_list, col_list):
     return det_cofactor([[m.rows[r - 1][c - 1] for c in col_list] for r in row_list])
 
 
-def eval_descriptor_cofactor(gen, m: Matrix):
-    """Evaluate a generator with cofactor expansion only."""
+def eval_descriptor_cofactor(gen, m: Matrix, adj=None):
+    """Evaluate a generator with cofactor expansion only; adj, when given, is
+    ``adjugate_cofactor`` of m's rows, computed once for several generators."""
     recipe = gen.recipe
     if isinstance(recipe, MinorRecipe):
         return minor_cofactor(m, recipe.rows, recipe.cols)
     if isinstance(recipe, StackedRecipe):
-        adj = adjugate_cofactor([list(r) for r in m.rows])
+        if adj is None:
+            adj = adjugate_cofactor([list(r) for r in m.rows])
         rows = [[m.rows[r - 1][c - 1] for c in recipe.cols] for r in recipe.x_rows]
         rows += [[adj[r - 1][c - 1] for c in recipe.cols] for r in recipe.adj_rows]
         return det_cofactor(rows)
@@ -226,21 +237,41 @@ def _rows_at(a, rows, cols):
     return [[a[r - 1][c - 1] for c in cols] for r in rows]
 
 
+def _trace_product(a: Matrix, b: Matrix) -> Fraction:
+    """trace(a @ b) without forming the product."""
+    total = sum(sum(map(operator.mul, row, col)) for row, col in zip(a.num, zip(*b.num)))
+    return Fraction(total, a.den * b.den)
+
+
+def _stacked_matrix(recipe, top: Matrix, bottom: Matrix) -> Matrix:
+    """The stacked recipe's rows of top, then of bottom, on its columns."""
+    cols0 = [c - 1 for c in recipe.cols]
+    return Matrix.from_blocks([
+        [top.submatrix([r - 1 for r in recipe.x_rows], cols0)],
+        [bottom.submatrix([r - 1 for r in recipe.adj_rows], cols0)],
+    ])
+
+
+def _reduce_mod_p(m: Matrix):
+    """The entries of a rational matrix mod P, as residue rows."""
+    return [[fraction_mod_p(x) for x in row] for row in m.rows]
+
+
 QQ = Field(
     reduce=lambda m: m,
     det=det,
     inverse=inverse,
     adjugate=adjugate,
     matmul=operator.matmul,
-    trace_product=trace_product,
+    trace_product=_trace_product,
     scale=operator.mul,
     sub=operator.sub,
     div=operator.truediv,
     submatrix=lambda a, rows, cols: a.submatrix([r - 1 for r in rows], [c - 1 for c in cols]),
-    stacked=stacked_matrix,
+    stacked=_stacked_matrix,
 )
 GF_P = Field(
-    reduce=reduce_mod_p,
+    reduce=_reduce_mod_p,
     det=lambda a: _gauss_jordan_mod_p(a)[0],
     inverse=_inverse_mod_p,
     adjugate=lambda a: adjugate_rows(a, P),

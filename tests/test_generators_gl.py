@@ -5,11 +5,13 @@ import pytest
 from parinv.generators_gl import (
     Generator,
     MinorRecipe,
+    RatioRecipe,
     StackedRecipe,
     build_generators,
     descriptor_to_json,
     eval_generator,
     nonvanishing_witness,
+    recipe_rows,
     s0_monomial_sign,
     s0_monomial_value,
 )
@@ -19,10 +21,19 @@ from parinv.sampling import Rng, sample_group_point, sample_slice, sample_unipot
 from parinv.shapes import IndexPair, ShapeError, index_set, make_shape
 from parinv import verification
 
-from oracles import derivative_at_zero, eval_descriptor_cofactor, fraction_mod_p, trace_pairing
+from oracles import (
+    adjugate_cofactor,
+    derivative_at_zero,
+    eval_descriptor_cofactor,
+    fraction_mod_p,
+    trace_pairing,
+)
 
 GL5 = make_shape("gl", 5, (1, 2, 2))
 SL5 = make_shape("sl", 5, (1, 2, 2))
+O5 = make_shape("o", 5, (1, 3, 1))
+# (shape, second component) of the rational points the evaluator is checked at
+RATIONAL_POINT_SHAPES = ((SL5, False), (O5, False), (O5, True), (make_shape("sp", 8, (1, 2, 2, 2, 1)), False))
 
 # the complete recipe table of the worked 5x5 example, in order
 EXPECTED_RECIPES = {
@@ -115,6 +126,46 @@ def test_eval_matches_cofactor_oracle_at_identity_and_random():
         adj = adjugate(m)
         for g in gens:
             assert eval_generator(g, m, adj) == eval_descriptor_cofactor(g, m)
+    # rational group points: a k-row minor is read on the numerators over den^k,
+    # a stacked generator over den^|x_rows| * adj.den^|adj_rows|
+    for shape, second in RATIONAL_POINT_SHAPES:
+        system = build_system(shape)
+        family = [g for _, g in system.family()] + list(system.ratios)
+        for t in range(2):
+            m = sample_group_point(shape, Rng(58, t), 6, second_component=second).matrix
+            adj = adjugate(m)
+            assert m.den > 1 and adj.den > 1
+            oracle_adj = adjugate_cofactor([list(r) for r in m.rows])
+            for g in family:
+                want = eval_descriptor_cofactor(g, m, oracle_adj)
+                assert eval_generator(g, m) == want
+                assert eval_generator(g, m, adj) == want
+
+
+def test_eval_refuses_indices_past_n():
+    m = Matrix([[(i + 1) ** j for j in range(5)] for i in range(5)])  # Vandermonde
+    assert det(m) != 0 and all(x != 0 for row in m.rows for x in row)
+    for recipe in (
+        MinorRecipe((6,), (1,)),
+        MinorRecipe((1, 2), (1, 6)),
+        StackedRecipe((6,), (5,), (1, 2)),
+        StackedRecipe((5,), (6,), (1, 2)),
+        StackedRecipe((5,), (5,), (1, 6)),
+        RatioRecipe(MinorRecipe((6,), (1,)), MinorRecipe((1,), (1,))),
+        RatioRecipe(MinorRecipe((1,), (1,)), MinorRecipe((1,), (6,))),
+    ):
+        with pytest.raises(IndexError):
+            eval_generator(Generator(None, recipe), m)
+
+
+def test_recipe_rows_take_x_then_adj_in_stored_order():
+    x = [[10 * r + c for c in range(1, 6)] for r in range(1, 6)]
+    adj = [[-v for v in row] for row in x]
+    assert recipe_rows(MinorRecipe((4, 2), (3, 1)), x) == [[43, 41], [23, 21]]
+    rows = recipe_rows(StackedRecipe((5,), (4, 5), (2, 1, 3)), x, adj)
+    assert rows == [[52, 51, 53], [-42, -41, -43], [-52, -51, -53]]
+    rows[0][0] = 0  # fresh rows: the source is untouched
+    assert x[4][1] == 52
 
 
 def family_values(shape, point):
@@ -240,7 +291,24 @@ def test_descriptor_json():
 
 
 def test_recipe_validation():
-    with pytest.raises(ShapeError):
-        MinorRecipe((1, 2), (1,))
-    with pytest.raises(ShapeError):
-        StackedRecipe((1,), (2,), (1, 2, 3))
+    bad = [
+        lambda: MinorRecipe((1, 2), (1,)),
+        lambda: StackedRecipe((1,), (2,), (1, 2, 3)),
+        # every index is at least 1, and no list repeats one
+        lambda: MinorRecipe((0, 2), (1, 2)),
+        lambda: MinorRecipe((1, 2), (-1, 2)),
+        lambda: MinorRecipe((2, 2), (1, 2)),
+        lambda: MinorRecipe((1, 2), (3, 3)),
+        lambda: StackedRecipe((0,), (5,), (1, 2)),
+        lambda: StackedRecipe((5,), (0,), (1, 2)),
+        lambda: StackedRecipe((5,), (5,), (0, 1)),
+        lambda: StackedRecipe((4, 4), (5,), (1, 2, 3)),
+        lambda: StackedRecipe((5,), (4, 4), (1, 2, 3)),
+        lambda: StackedRecipe((5,), (5,), (2, 2)),
+        lambda: RatioRecipe(MinorRecipe((1,), (1,)), MinorRecipe((0,), (1,))),
+    ]
+    for make in bad:
+        with pytest.raises(ShapeError):
+            make()
+    # a row may come from x and from the adjugate at once: J(5,2) takes row 5 of both
+    assert StackedRecipe((5,), (5,), (1, 2)) == EXPECTED_RECIPES[(5, 2)]

@@ -19,7 +19,6 @@ from parinv.linalg import (
     minor,
     rank,
     rank_mod_p,
-    reduce_mod_p,
 )
 from parinv.sampling import Rng
 
@@ -238,16 +237,20 @@ def test_rank_matches_enumeration_oracle_and_transpose():
 
 def test_rank_falls_back_when_residue_rank_is_short():
     m = Matrix([[P, 0], [0, 1]])
-    assert rank_mod_p(reduce_mod_p(m)) == 1
+    assert rank_mod_p(m.num) == 1
     assert rank(m) == 2
 
 
 def test_rank_without_residue_certificate():
+    # a denominator divisible by P: the numerator rows [[1, P], [P, P]] have
+    # residue rank 1, so no certificate, and the exact rank decides
     m = Matrix([[Fraction(1, P), 1], [1, 1]])
-    with pytest.raises(ZeroDivisionError):
-        reduce_mod_p(m)
+    assert m.den == P and rank_mod_p(m.num) == 1
     assert rank(m) == 2
     assert rank(Matrix([[Fraction(1, P), Fraction(2, P)], [1, 2]])) == 1
+    # the rank of X / d is the rank of X, whatever d
+    m = Matrix([[Fraction(1, 3 * P), Fraction(2, 5)], [Fraction(7, 2), P]])
+    assert rank(m) == rank_cofactor(m) == 2
 
 
 def test_residue_kernel_matches_reduced_exact_results():
@@ -276,8 +279,8 @@ def test_residue_kernel_matches_reduced_exact_results():
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
         small = low_rank(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
         m = Matrix([[x + P * rng.randint(-1, 1) for x in row] for row in small.rows])
-        a = reduce_mod_p(m)
-        assert a == reduce_mod_p(small)
+        a = [[fraction_mod_p(x) for x in row] for row in m.rows]
+        assert a == [[fraction_mod_p(x) for x in row] for row in small.rows]
         assert rank(m) == rank_cofactor(m)
         assert rank_mod_p(a) == rank_cofactor(small)
         if nrows == ncols:
@@ -398,12 +401,3 @@ def test_integer_rows_scales_match_row_lcm_oracle():
         cases.append(low_rank(rng, nrows, ncols, rng.randint(0, min(nrows, ncols))))
     for m in cases:
         assert _integer_rows(m) == integer_rows_lcm(m)
-
-
-def test_reduce_mod_p_refuses_exactly_denominators_divisible_by_p():
-    with pytest.raises(ZeroDivisionError):
-        reduce_mod_p(Matrix([[Fraction(1, P)]]))
-    with pytest.raises(ZeroDivisionError):  # P divides the common denominator 3P
-        reduce_mod_p(Matrix([[Fraction(1, 3), 0], [1, Fraction(2, P)]]))
-    m = Matrix([[Fraction(P, 3), Fraction(1, 5)], [Fraction(-7, 2), 2 * P]])
-    assert reduce_mod_p(m) == [[fraction_mod_p(x) for x in row] for row in m.rows]
