@@ -45,6 +45,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _bound(text: str) -> int:
+    """A sample bound B in [1, 2^63): the draws from [-B, B] then fit one 64-bit step."""
+    value = int(text)
+    if not 1 <= value < 1 << 63:
+        raise argparse.ArgumentTypeError(f"must be in [1, 2^63), got {value}")
+    return value
+
+
 def _u64(text: str) -> int:
     value = int(text)
     if not 0 <= value < 1 << 64:
@@ -205,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int)
             p.add_argument("--parts", type=str, help="comma-separated composition, e.g. 1,2,2")
         p.add_argument("--seed", type=_u64, default=1)
-        p.add_argument("--bound", type=_positive_int, default=10)
+        p.add_argument("--bound", type=_bound, default=10)
         p.add_argument("--trials", type=_positive_int, default=100)
         p.add_argument("--out", type=str, default=None)
 

@@ -10,7 +10,12 @@ evaluated in the exact order stored, which fixes every sign.
 A value is read on integer numerators: ``recipe_rows`` picks the
 recipe's square integer rows out of the numerator rows of X (and of X*),
 and the determinant of those rows is divided once by the denominators
-of the rows taken.
+of the rows taken.  That is ``eval_generator``, one determinant per
+recipe.  Every recipe here takes a trailing run of rows against the
+leading columns 1..j, so a whole system is nested: the family evaluator
+``generators_osp.eval_family`` reads these values off a few no-swap
+eliminations (one of the rows of X, one per number of X rows of the
+stacked recipes) and keeps ``eval_generator`` for the rest.
 """
 from __future__ import annotations
 

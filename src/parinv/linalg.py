@@ -19,7 +19,10 @@ from eliminating [X | E]; a singular one's adjugate falls back to signed
 cofactors.  ``det_rows``, ``adjugate_rows`` and ``matmul_rows`` are the
 integer-row kernels, with the same optional modulus: generator values
 are determinants of integer numerator rows, and the tangent Jacobians
-are built on the same rows.
+are built on the same rows.  ``bordered_minors`` logs the pivot-column
+entries of the same elimination before any row swap, which are minors
+of the input (Sylvester's identity), so one elimination gives a whole
+nested chain of generator values.
 
 A rank does not change when the matrix or a row is multiplied by a
 nonzero number, so ``rank`` works on the numerator rows alone.  Ranks
@@ -105,6 +108,11 @@ class Matrix:
             den = self.den
             _set(self, "_rows", tuple(tuple(Fraction(x, den) for x in row) for row in self.num))
         return self._rows
+
+    @classmethod
+    def from_integer_rows(cls, rows: Sequence[Sequence[int]]) -> "Matrix":
+        """The matrix of equally long rows of ints, taken as they are (no entry is re-checked)."""
+        return _make(rows, 1)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -233,7 +241,8 @@ def _integer_rows(m: Matrix) -> tuple[list[list[int]], list[int]]:
     return rows, scales
 
 
-def _bareiss(a: list[list[int]], ncols: int, upward: bool, p: int | None = None):
+def _bareiss(a: list[list[int]], ncols: int, upward: bool, p: int | None = None,
+             log: list[list[int]] | None = None):
     """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
     The pivot of each of the first ``ncols`` columns is its first nonzero
@@ -244,7 +253,9 @@ def _bareiss(a: list[list[int]], ncols: int, upward: bool, p: int | None = None)
     upward steps and skipped columns), so the division by the previous
     pivot is exact, and with ``upward`` every pivot row ends up carrying
     the last pivot.  With a prime ``p`` the arithmetic is mod p and the
-    division is a multiplication by the inverse.  Returns (pivot columns,
+    division is a multiplication by the inverse.  With a list ``log``,
+    each step appends the pivot-column entries of the current row and
+    the rows below it, taken before any swap.  Returns (pivot columns,
     sign of the row permutation, last pivot).
     """
     nrows = len(a)
@@ -254,6 +265,8 @@ def _bareiss(a: list[list[int]], ncols: int, upward: bool, p: int | None = None)
         r = len(pivots)
         if r == nrows:
             break
+        if log is not None:
+            log.append([a[i][c] for i in range(r, nrows)])
         k = next((i for i in range(r, nrows) if a[i][c]), None)
         if k is None:
             continue
@@ -289,6 +302,24 @@ def det_rows(a: list[list[int]], p: int | None = None) -> int:
     if len(pivots) < len(a):
         return 0
     return sign * last if p is None else sign * last % p
+
+
+def bordered_minors(a: list[list[int]], ncols: int) -> list[list[int]]:
+    """Bordered leading minors of integer rows (consumed), from one elimination.
+
+    Entry [s][t] is the determinant of rows 0..s-1 and row s + t against
+    columns 0..s: at t = 0 the leading (s+1)-minor, else that minor with
+    its last row replaced by a later one.  These are the pivot-column
+    entries of a Bareiss elimination that has not swapped rows yet
+    (Sylvester's identity), so the list ends with the first step whose
+    leading minor is 0; a later step would need a swap.
+    """
+    log: list[list[int]] = []
+    _bareiss(a, ncols, False, log=log)
+    for s, entries in enumerate(log):
+        if entries[0] == 0:
+            return log[:s + 1]
+    return log
 
 
 def _inverse_rows(a: Sequence[Sequence[int]], p: int | None = None):

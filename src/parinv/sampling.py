@@ -8,6 +8,8 @@ identical (seed, stream) inputs reproduce bit-for-bit on every platform:
     randint(lo, hi) = lo + next() mod (hi - lo + 1)
 
 with GAMMA = 0x9E3779B97F4A7C15 and mix64 the SplitMix64 finalizer.
+randint refuses a range of more than 2^64 values, which one draw cannot
+cover.
 
 Orthogonal/symplectic group points come from the Cayley transform
 g = (E - A)(E + A)^-1 of exact form-skew matrices A, which stays inside
@@ -63,9 +65,11 @@ class Rng:
         return _mix64(self._state)
 
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform-ish integer in [lo, hi], inclusive."""
+        """Uniform-ish integer in [lo, hi], inclusive; at most 2^64 values, the draws of one step."""
         if hi < lo:
             raise ValueError("empty range")
+        if hi - lo >= 1 << 64:
+            raise ValueError(f"range [{lo}, {hi}] is wider than 2^64 values")
         return lo + self.next_u64() % (hi - lo + 1)
 
     def nonzero_int(self, bound: int) -> int:

@@ -415,7 +415,7 @@ def orbit_dimension(shape: FlagShape, point: Matrix) -> int:
     The rows are built on the integer numerator X of point = X / d, which
     multiplies every row by d and so keeps the rank.
     """
-    return rank(Matrix(_orbit_rows(shape, point.num)))
+    return rank(Matrix.from_integer_rows(_orbit_rows(shape, point.num)))
 
 
 def check_orbit_dimension(shape: FlagShape, seed: int, bound: int, points: int = 3) -> CheckResult:
@@ -571,14 +571,14 @@ def independence_rank(shape: FlagShape, point: Matrix) -> dict:
     # the central factor G0 exists only with a ratio layer (odd ell, O/Sp kinds)
     gamma_expected = dim_g0(shape) if ratios else 0
     gamma = _tangent_rows(shape, ratios, x)
-    gamma_rank = rank(Matrix(gamma)) if ratios else 0
+    gamma_rank = rank(Matrix.from_integer_rows(gamma)) if ratios else 0
     bound = len(j_gens) + gamma_rank
     if rank_mod_p(_tangent_rows(shape, j_gens + ratios, x, P)) == bound:
         j_rank, combined_rank = len(j_gens), bound
     else:
         j_jac = _tangent_rows(shape, j_gens, x)
-        j_rank = rank(Matrix(j_jac))
-        combined_rank = rank(Matrix(j_jac + gamma)) if ratios else j_rank
+        j_rank = rank(Matrix.from_integer_rows(j_jac))
+        combined_rank = rank(Matrix.from_integer_rows(j_jac + gamma)) if ratios else j_rank
     return {
         "rank": combined_rank,
         "expected": len(j_gens) + gamma_expected,
@@ -598,11 +598,9 @@ def _in_generic_position(shape: FlagShape, x: Matrix) -> bool:
     are exempt: some vanish identically on a whole component (the central
     factor's matrix entries do), which is not a degeneracy.
     """
-    adj = adjugate(x)
     system = build_system(shape)
-    if any(eval_generator(g, x, adj) == 0 for g in system.j):
-        return False
-    return system.m0 is None or eval_generator(Generator(None, system.m0), x, adj) != 0
+    # family() lists J, then M0 when there is one
+    return all(eval_family(system.family()[:len(system.j) + (system.m0 is not None)], x))
 
 
 def check_independence(shape: FlagShape, seed: int, bound: int, points: int = 3) -> CheckResult:
@@ -656,39 +654,36 @@ def check_nonvanishing(shape: FlagShape, seed: int, bound: int, budget: int = 10
     Orthogonal groups have two components and some corner minors vanish
     identically on one of them, so generators without an
     identity-component witness get a second budget of swapped-component
-    samples.
+    samples.  Each sample has its own stream, and sample t is drawn only
+    while some generator has not yet been seen nonzero.
     """
     family = build_system(shape).family()
-    samples = []
-    for t in range(budget):
-        rng = Rng(seed, _stream(_S_WITNESS, t))
-        m = sample_group_point(shape, rng, bound).matrix
-        samples.append((m, adjugate(m)))
-    missing = []
-    first_hit = {}
-    for label, gen in family:
-        hit = next(
-            (k for k, (m, adj) in enumerate(samples) if eval_generator(gen, m, adj) != 0), None
-        )
-        if hit is None:
-            missing.append(label)
-        else:
-            first_hit[label] = hit
+
+    def first_hits(wanted, second_component):
+        """Index of the first sample at which each wanted generator is nonzero."""
+        hits = {}
+        for t in range(budget):
+            if len(hits) == len(wanted):
+                break
+            rng = Rng(seed, _stream(_S_WITNESS, (budget if second_component else 0) + t))
+            m = sample_group_point(shape, rng, bound, second_component=second_component).matrix
+            if t == 0:
+                values = eval_family(wanted, m)
+            else:
+                adj = adjugate(m)
+                values = [0 if label in hits else eval_generator(g, m, adj) for label, g in wanted]
+            for (label, _), value in zip(wanted, values):
+                if value != 0:
+                    hits.setdefault(label, t)
+        return hits
+
+    first_hit = first_hits(family, False)
+    missing = [(label, g) for label, g in family if label not in first_hit]
     second_component_hits = []
     if missing and shape.kind is GroupKind.O:
-        swapped = []
-        for t in range(budget):
-            rng = Rng(seed, _stream(_S_WITNESS, budget + t))
-            m = sample_group_point(shape, rng, bound, second_component=True).matrix
-            swapped.append((m, adjugate(m)))
-        still_missing = []
-        for label in missing:
-            gen = next(g for lbl, g in family if lbl == label)
-            if any(eval_generator(gen, m, adj) != 0 for m, adj in swapped):
-                second_component_hits.append(label)
-            else:
-                still_missing.append(label)
-        missing = still_missing
+        swapped = first_hits(missing, True)
+        second_component_hits = [label for label, _ in missing if label in swapped]
+    missing = [label for label, _ in missing if label not in second_component_hits]
     details = {
         "budget": budget,
         "missing": missing,

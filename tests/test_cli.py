@@ -254,9 +254,10 @@ def test_unknown_flag_is_rejected():
     shape = ["--group", "gl", "--n", "2", "--parts", "2"]
     bad = [
         ["describe", *shape, "--frobnicate"],
-        # --bound, --trials and --points are >= 1; --seed is a U64
+        # --bound is in [1, 2^63), --trials and --points are >= 1; --seed is a U64
         ["verify", *shape, "--bound", "0"],
         ["sample", *shape, "--bound", "-3"],
+        ["sample", *shape, "--bound", str(1 << 63)],
         ["selftest", "--bound", "0"],
         ["verify", *shape, "--trials", "-1"],
         ["sample", *shape, "--trials", "0"],
@@ -270,6 +271,7 @@ def test_unknown_flag_is_rejected():
             main(argv)
         assert exc.value.code == 2, argv
     assert main(["sample", *shape, "--seed", str((1 << 64) - 1), "--trials", "1"]) == 0
+    assert main(["sample", *shape, "--bound", str((1 << 63) - 1), "--trials", "1"]) == 0
 
 
 def test_console_entry_point():

@@ -2,20 +2,30 @@ from fractions import Fraction
 
 import pytest
 
+from parinv import generators_osp
 from parinv.generators_gl import (
     MinorRecipe,
     RatioRecipe,
     RatioUndefinedError,
     build_generators,
     eval_generator,
+    nonvanishing_witness,
 )
 from parinv.generators_osp import GeneratorSystem, build_system, corner_minor_recipe, eval_family
-from parinv.linalg import P, Matrix, inverse, minor
-from parinv.sampling import Rng, sample_group_point, sample_unipotent_radical
-from parinv.shapes import IndexPair, index_set, make_shape
+from parinv.linalg import P, Matrix, adjugate, inverse, minor
+from parinv.sampling import Rng, anti_identity, sample_group_point, sample_slice, sample_unipotent_radical
+from parinv.shapes import GroupKind, IndexPair, index_set, make_shape
 from parinv import verification
 
-from oracles import derivative_at_zero, fraction_mod_p, minor_cofactor, trace_pairing
+from oracles import (
+    adjugate_cofactor,
+    derivative_at_zero,
+    eval_descriptor_cofactor,
+    fraction_mod_p,
+    minor_cofactor,
+    trace_pairing,
+    valid_shapes,
+)
 
 O4 = make_shape("o", 4, (2, 2))
 O5 = make_shape("o", 5, (1, 3, 1))
@@ -190,3 +200,113 @@ def test_ratio_derivatives_match_interpolation_oracle(shape):
         scale = den * den  # a ratio's gradient carries the factor D^2
         assert trace_pairing(h, b.num) == scale * want
         assert trace_pairing(h_mod_p, b.num) % P == fraction_mod_p(scale * want)
+
+
+LADDER = [
+    make_shape("gl", 8, (2, 3, 3)),
+    make_shape("gl", 10, (2, 3, 5)),
+    make_shape("o", 9, (2, 2, 1, 2, 2)),
+    make_shape("sp", 12, (2, 2, 4, 2, 2)),
+]
+
+
+def _label(shape):
+    return f"{shape.kind.value}{shape.n}-" + "-".join(map(str, shape.parts))
+
+
+def one_by_one(family, point):
+    """The family's values, one ``eval_generator`` determinant per recipe."""
+    adj = adjugate(point)
+    return [eval_generator(g, point, adj) for _, g in family]
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts the recipes ``eval_family`` sends to ``eval_generator``."""
+    calls = []
+
+    def counted(gen, point, adj=None):
+        calls.append(gen)
+        return eval_generator(gen, point, adj)
+
+    monkeypatch.setattr(generators_osp, "eval_generator", counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape", valid_shapes(5) + LADDER, ids=_label)
+def test_chain_values_equal_per_recipe_values_at_group_points(shape):
+    family = build_system(shape).family()
+    points = [sample_group_point(shape, Rng(91, t), 10).matrix for t in range(2)]
+    if shape.kind is GroupKind.O:
+        points += [
+            sample_group_point(shape, Rng(91, 10 + t), 10, second_component=True).matrix
+            for t in range(2)
+        ]
+    for x in points:
+        assert eval_family(family, x) == one_by_one(family, x)
+
+
+def _fallback_points(shape):
+    """Points where some leading minor of a chain vanishes."""
+    n = shape.n
+    points = [Matrix.identity(n), anti_identity(n)]
+    points += [nonvanishing_witness(shape, pair) for pair in index_set(shape).pairs]
+    points.append(sample_slice(shape, Rng(92, 0), 10, variant="s0").matrix)
+    rows = [list(row) for row in sample_group_point(shape, Rng(92, 1), 10).matrix.rows]
+    rows[n - 1][0] = 0  # x_{n1}, the first pivot of every chain
+    points.append(Matrix(rows))
+    return points
+
+
+def test_chain_values_fall_back_past_a_zero_leading_minor(fallbacks):
+    for shape in valid_shapes(5):
+        family = build_system(shape).family()
+        for k, x in enumerate(_fallback_points(shape)):
+            got = eval_family(family, x)
+            assert got == one_by_one(family, x), (shape, x)
+            if k < 2:  # the identity and the anti-identity
+                adj = adjugate_cofactor([list(row) for row in x.rows])
+                assert got == [eval_descriptor_cofactor(g, x, adj) for _, g in family]
+    assert fallbacks  # the points above do reach the fallback
+
+
+def test_chain_values_match_cofactor_oracle_at_group_points():
+    for shape in valid_shapes(5):
+        family = build_system(shape).family()
+        x = sample_group_point(shape, Rng(93, 0), 10).matrix
+        adj = adjugate_cofactor([list(row) for row in x.rows])
+        assert eval_family(family, x) == [eval_descriptor_cofactor(g, x, adj) for _, g in family]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_pair_is_read_off_a_chain(n, fallbacks):
+    # the single-block GL(n) system carries all n^2 pairs, minors and stacked
+    shape = make_shape("gl", n, (n,))
+    family = build_system(shape).family()
+    assert len(family) == n * n
+    x = sample_group_point(shape, Rng(94, n), 10).matrix
+    assert eval_family(family, x) == one_by_one(family, x)
+    assert fallbacks == []
+
+
+def test_a_zero_pivot_sends_only_later_steps_to_the_fallback(fallbacks):
+    # at the identity the first pivot x_31 of every chain is 0: the one-column
+    # minors are still read at step 0, every other recipe falls back
+    family = build_system(make_shape("gl", 3, (3,))).family()
+    values = eval_family(family, Matrix.identity(3))
+    assert values == one_by_one(family, Matrix.identity(3))
+    assert [g.recipe for g in fallbacks] == [g.recipe for _, g in family if len(g.recipe.cols) > 1]
+
+
+def test_recipes_off_the_chain_pattern_fall_back(fallbacks):
+    # the corner minor M0 is chain-shaped; augmented minors with a column
+    # past the leading ones, and mutants, are not
+    system = build_system(SP8)
+    family = system.family()
+    x = sample_group_point(SP8, Rng(95), 10).matrix
+    assert eval_family(family, x) == one_by_one(family, x)
+    off_chain = [g.recipe for g in fallbacks]
+    assert system.m0 not in off_chain
+    assert off_chain and all(isinstance(r, MinorRecipe) and r.cols[-1] > len(r.cols) for r in off_chain)
+    mutants = verification.mutated_generators(SP8)
+    assert eval_family(mutants, x) == one_by_one(mutants, x)

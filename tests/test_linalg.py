@@ -11,6 +11,7 @@ from parinv.linalg import (
     _integer_rows,
     adjugate,
     adjugate_rows,
+    bordered_minors,
     det,
     inverse,
     matmul_rows,
@@ -401,3 +402,36 @@ def test_integer_rows_scales_match_row_lcm_oracle():
         cases.append(low_rank(rng, nrows, ncols, rng.randint(0, min(nrows, ncols))))
     for m in cases:
         assert _integer_rows(m) == integer_rows_lcm(m)
+
+
+def test_integer_rows_constructor_equals_the_checked_one():
+    rng = Rng(64)
+    for _ in range(20):
+        rows = [[rng.randint(-99, 99) for _ in range(4)] for _ in range(rng.randint(1, 5))]
+        m = Matrix.from_integer_rows(rows)
+        assert m == Matrix(rows) and hash(m) == hash(Matrix(rows)) and m.den == 1
+        assert rank(m) == rank(Matrix(rows))
+
+
+def test_bordered_minors_match_cofactor_oracle():
+    rng = Rng(65)
+    for _ in range(40):
+        ncols = rng.randint(1, 5)
+        nrows = rng.randint(ncols, 6)
+        a = [[rng.randint(-6, 6) for _ in range(ncols)] for _ in range(nrows)]
+        log = bordered_minors([list(row) for row in a], ncols)
+        for s, entries in enumerate(log):
+            assert len(entries) == nrows - s
+            for t, value in enumerate(entries):
+                rows = a[:s] + [a[s + t]]
+                assert value == det_cofactor([row[: s + 1] for row in rows])
+        # the log runs to the last column, or ends at the first zero leading minor
+        leading = [det_cofactor([row[: s + 1] for row in a[: s + 1]]) for s in range(ncols)]
+        stop = next((s for s, v in enumerate(leading) if v == 0), ncols - 1)
+        assert len(log) == stop + 1
+
+
+def test_bordered_minors_stop_at_a_zero_leading_minor():
+    # the leading 1-minor is 0: a second step would have needed a row swap
+    assert bordered_minors([[0, 1], [1, 0]], 2) == [[0, 1]]
+    assert bordered_minors([[2, 1], [4, 2], [1, 0]], 2) == [[2, 4, 1], [0, -1]]

@@ -73,6 +73,18 @@ def test_rng_randint_bounds_and_nonzero():
     assert all(rng.nonzero_int(2) != 0 for _ in range(50))
 
 
+def test_rng_randint_refuses_ranges_wider_than_one_draw():
+    rng = Rng(5)
+    widest = (1 << 63) - 1  # the largest --bound: [-B, B] holds 2^64 - 1 values
+    values = [rng.randint(-widest, widest) for _ in range(200)]
+    assert min(values) < 0 < max(values)
+    assert 0 <= rng.randint(0, (1 << 64) - 1) < 1 << 64
+    with pytest.raises(ValueError):
+        rng.randint(0, 1 << 64)
+    with pytest.raises(ValueError):
+        rng.randint(-(1 << 70), 1 << 70)
+
+
 def test_forms():
     assert anti_identity(3) == Matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
     j4 = symplectic_form(4)

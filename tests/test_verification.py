@@ -309,6 +309,23 @@ def test_nonvanishing_check():
         assert result.details["missing"] == []
 
 
+def test_nonvanishing_draws_samples_only_while_a_generator_is_missing(monkeypatch):
+    draws = []
+
+    def spy(shape, rng, bound, second_component=False):
+        draws.append(second_component)
+        return sample_group_point(shape, rng, bound, second_component=second_component)
+
+    monkeypatch.setattr(verification, "sample_group_point", spy)
+    result = check_nonvanishing(GL5, seed=12, bound=8)
+    assert draws == [False] * result.details["max_samples_needed"]
+    draws.clear()
+    # M(4,3) and M(3,4) vanish on the identity component of O(6)
+    result = check_nonvanishing(make_shape("o", 6, (2, 2, 2)), seed=1, bound=10)
+    assert result.passed and result.details["second_component_witnesses"] == ["M(4,3)", "M(3,4)"]
+    assert draws == [False] * 10 + [True]
+
+
 def test_mutated_generators_are_fresh_recipes():
     from parinv.generators_gl import build_generators
 
