@@ -13,8 +13,9 @@ is the common-denominator form of rational matrices (FLINT's
 Every determinant, adjugate, inverse and rank is read off one
 fraction-free Bareiss Gauss-Jordan elimination (``_bareiss``) of integer
 rows with one optional prime modulus: ``p=None`` is exact, ``p=P`` works
-on residues.  Over Q each row is cleared of the denominator by its own
-scale den / gcd(den, row).  A regular matrix's adjugate and inverse come
+on residues.  Over Q the kernels read the canonical numerator rows and
+scale by powers of the one denominator: det(X / d) = det X / d^n and
+adj(X / d) = adj X / d^(n-1).  A regular matrix's adjugate and inverse come
 from eliminating [X | E]; a singular one's adjugate falls back to signed
 cofactors.  ``det_rows``, ``adjugate_rows`` and ``matmul_rows`` are the
 integer-row kernels, with the same optional modulus: generator values
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -51,6 +53,9 @@ class SingularMatrixError(ZeroDivisionError):
     """Raised when an inverse of a singular matrix is requested."""
 
 
+_SCALAR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # an integer or p/q; Fraction would also read "1e9", " 3 ", "1_0"
+
+
 def _to_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -59,6 +64,8 @@ def _to_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _SCALAR.fullmatch(value):
+            raise ValueError(f"exact scalar string must be an integer or p/q, got {value[:40]!r}")
         return Fraction(value)
     raise TypeError(f"exact scalar expected (int, Fraction or string), got {type(value).__name__}")
 
@@ -225,22 +232,6 @@ class Matrix:
             raise DimensionError("matrix shapes differ")
 
 
-def _integer_rows(m: Matrix) -> tuple[list[list[int]], list[int]]:
-    """Clear the denominator row by row: row i of m is row i of the result / scales[i].
-
-    scales[i] = den / gcd(den, row i), the lcm of the row's lowest-terms
-    denominators, so each integer row is as small as it can be.
-    """
-    den = m.den
-    rows = []
-    scales = []
-    for row in m.num:
-        g = math.gcd(den, *row)
-        rows.append([x // g for x in row] if g != 1 else list(row))
-        scales.append(den // g)
-    return rows, scales
-
-
 def _bareiss(a: list[list[int]], ncols: int, upward: bool, p: int | None = None,
              log: list[list[int]] | None = None):
     """Fraction-free Gauss-Jordan elimination of integer rows, in place.
@@ -367,19 +358,20 @@ def matmul_rows(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], p: int |
 
 
 def det(m: Matrix) -> Fraction:
-    """Exact determinant: sign * last Bareiss pivot / product of the row scales."""
+    """Exact determinant: det(X / d) = det X / d^n."""
     m._require_square()
-    a, scales = _integer_rows(m)
-    return Fraction(det_rows(a), math.prod(scales))
+    return Fraction(det_rows(list(map(list, m.num))), m.den ** m.nrows)
 
 
 def adjugate(m: Matrix) -> Matrix:
-    """Adjugate X* with X @ X* = X* @ X = det(X) * E, singular input included."""
+    """Adjugate X* with X @ X* = X* @ X = det(X) * E, singular input included.
+
+    adj(X / d) = adj X / d^(n-1); the 0 x 0 adjugate is itself.
+    """
     m._require_square()
-    a, scales = _integer_rows(m)
-    adj = _adjugate_rows(a)
-    # m = D^-1 a for D = diag(scales), so adj(m) = adj(a) D / det(D)
-    return _make([[x * s for x, s in zip(row, scales)] for row in adj], math.prod(scales))
+    if not m.nrows:
+        return m
+    return _make(_adjugate_rows(m.num), m.den ** (m.nrows - 1))
 
 
 def _check_index_lists(m: Matrix, row_list: Sequence[int], col_list: Sequence[int]):
@@ -417,16 +409,14 @@ def rank(m: Matrix) -> int:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse: m^-1 = (d * a^-1) D / d for m = D^-1 a, a an integer matrix."""
+    """Exact inverse: (X / d)^-1 = d * (c X^-1) / c, with c X^-1 and c from eliminating [X | E]."""
     m._require_square()
-    a, scales = _integer_rows(m)
-    solved = _inverse_rows(a)
+    solved = _inverse_rows(m.num)
     if solved is None:
         raise SingularMatrixError("matrix is singular")
     _, last, right = solved
-    if last < 0:
-        last, right = -last, [[-x for x in row] for row in right]
-    return _make([[x * s for x, s in zip(row, scales)] for row in right], last)
+    d = m.den if last > 0 else -m.den
+    return _make([[x * d for x in row] for row in right], abs(last))
 
 
 P = (1 << 61) - 1  # the Mersenne prime of every residue certificate

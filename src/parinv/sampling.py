@@ -73,7 +73,9 @@ class Rng:
         return lo + self.next_u64() % (hi - lo + 1)
 
     def nonzero_int(self, bound: int) -> int:
-        """Nonzero integer in [-bound, bound]."""
+        """Nonzero integer in [-bound, bound]; bound must be at least 1."""
+        if bound < 1:
+            raise ValueError(f"no nonzero integer in [-{bound}, {bound}]")
         while True:
             v = self.randint(-bound, bound)
             if v != 0:
@@ -158,13 +160,15 @@ def cayley(a: Matrix) -> Matrix:
     return inverse(e + a) * 2 - e
 
 
-def _strict_upper_positions(shape: FlagShape) -> list[tuple[int, int]]:
-    return [
+@lru_cache(maxsize=None)
+def _strict_upper_positions(shape: FlagShape) -> tuple[tuple[int, int], ...]:
+    """1-based positions of the radical: above the diagonal blocks (memoised)."""
+    return tuple(
         (i, j)
         for i in range(1, shape.n + 1)
         for j in range(1, shape.n + 1)
         if shape.block_of(i) < shape.block_of(j)
-    ]
+    )
 
 
 @lru_cache(maxsize=None)

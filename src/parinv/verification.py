@@ -125,8 +125,15 @@ class VerificationReport:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
 
-def _conjugate(x: Matrix, g: Matrix) -> Matrix:
-    return inverse(g) @ x @ g
+def _conjugate_pairs(shape: FlagShape, seed: int, base: int, trials: int, bound: int,
+                     second_component: bool = False):
+    """(t, x, g, g^-1 x g) for trial t = 0, 1, ..., trials - 1: x and then g
+    drawn from stream t of ``base``; drawn only as far as the caller iterates."""
+    for t in range(trials):
+        rng = Rng(seed, _stream(base, t))
+        x = sample_group_point(shape, rng, bound, second_component=second_component).matrix
+        g = sample_unipotent_radical(shape, rng, bound).matrix
+        yield t, x, g, inverse(g) @ x @ g
 
 
 def check_index_combinatorics(shape: FlagShape) -> CheckResult:
@@ -236,11 +243,7 @@ def check_invariance(
     base = _S_SECOND_COMPONENT if second_component else _S_INVARIANCE
     name = "invariance_second_component" if second_component else "invariance"
     counterexample = None
-    for t in range(trials):
-        rng = Rng(seed, _stream(base, t))
-        x = sample_group_point(shape, rng, bound, second_component=second_component).matrix
-        g = sample_unipotent_radical(shape, rng, bound).matrix
-        y = _conjugate(x, g)
+    for t, x, g, y in _conjugate_pairs(shape, seed, base, trials, bound, second_component):
         vx = eval_family(family, x)
         vy = eval_family(family, y)
         if vx != vy:
@@ -303,25 +306,23 @@ def _distinct_indices(rng: Rng, count: int, n: int) -> list[int]:
 def check_monomial_restriction(shape: FlagShape, seed: int, points: int, bound: int) -> CheckResult:
     """On the flattened slice every upper generator is its signed chain monomial."""
     sigma0 = set(index_set(shape).sigma0)
-    gens0 = [g for g in build_generators(shape) if g.pair in sigma0]
-    signs = [s0_monomial_sign(shape, g) for g in gens0]
+    gens0 = [(str(g.pair), g) for g in build_generators(shape) if g.pair in sigma0]
+    signs = [s0_monomial_sign(shape, g) for _, g in gens0]
     counterexample = None
     for t in range(points):
         rng = Rng(seed, _stream(_S_MONOMIAL, t))
         m = sample_slice(shape, rng, bound, variant="s0").matrix
-        for g, sign in zip(gens0, signs):
-            got = eval_generator(g, m)
-            want = s0_monomial_value(sign, g.pair, m)
-            if got != want:
-                counterexample = {
-                    "trial": t,
-                    "pair": list(g.pair),
-                    "point": matrix_to_json(m),
-                    "value": str(got),
-                    "monomial": str(want),
-                }
-                break
-        if counterexample:
+        got = eval_family(gens0, m)
+        want = [s0_monomial_value(sign, g.pair, m) for (_, g), sign in zip(gens0, signs)]
+        if got != want:
+            k = next(k for k in range(len(got)) if got[k] != want[k])
+            counterexample = {
+                "trial": t,
+                "pair": list(gens0[k][1].pair),
+                "point": matrix_to_json(m),
+                "value": str(got[k]),
+                "monomial": str(want[k]),
+            }
             break
     details = {"points": points, "upper_generators": len(gens0)}
     return CheckResult("monomial_restriction", counterexample is None, details, counterexample)
@@ -663,18 +664,14 @@ def check_nonvanishing(shape: FlagShape, seed: int, bound: int, budget: int = 10
         """Index of the first sample at which each wanted generator is nonzero."""
         hits = {}
         for t in range(budget):
-            if len(hits) == len(wanted):
+            left = [(label, g) for label, g in wanted if label not in hits]
+            if not left:
                 break
             rng = Rng(seed, _stream(_S_WITNESS, (budget if second_component else 0) + t))
             m = sample_group_point(shape, rng, bound, second_component=second_component).matrix
-            if t == 0:
-                values = eval_family(wanted, m)
-            else:
-                adj = adjugate(m)
-                values = [0 if label in hits else eval_generator(g, m, adj) for label, g in wanted]
-            for (label, _), value in zip(wanted, values):
+            for (label, _), value in zip(left, eval_family(left, m)):
                 if value != 0:
-                    hits.setdefault(label, t)
+                    hits[label] = t
         return hits
 
     first_hit = first_hits(family, False)
@@ -741,31 +738,21 @@ def mutated_generators(shape: FlagShape, limit: int = 8) -> list[tuple[str, Gene
 
 
 def check_negative_controls(shape: FlagShape, seed: int, trials: int, bound: int) -> CheckResult:
-    """At least three mutated descriptors must visibly break invariance."""
+    """At least three mutated descriptors must visibly break invariance.
+
+    Trial pairs are drawn only while some mutant is unbroken, and each
+    pair evaluates the unbroken mutants as one family.
+    """
     mutants = mutated_generators(shape)
-    trial_points: list[tuple[Matrix, Matrix, Matrix, Matrix]] = []
-
-    def point_pair(t: int):
-        while len(trial_points) <= t:
-            rng = Rng(seed, _stream(_S_NEGATIVE, len(trial_points)))
-            x = sample_group_point(shape, rng, bound).matrix
-            g = sample_unipotent_radical(shape, rng, bound).matrix
-            y = _conjugate(x, g)
-            trial_points.append((x, adjugate(x), y, adjugate(y)))
-        return trial_points[t]
-
-    outcomes = []
-    broken = 0
-    for label, gen in mutants:
-        fails_at = None
-        for t in range(trials):
-            x, adj_x, y, adj_y = point_pair(t)
-            if eval_generator(gen, x, adj_x) != eval_generator(gen, y, adj_y):
-                fails_at = t
-                break
-        outcomes.append({"mutation": label, "fails_invariance": fails_at is not None})
-        if fails_at is not None:
-            broken += 1
+    unbroken = mutants
+    for _, x, _, y in _conjugate_pairs(shape, seed, _S_NEGATIVE, trials if mutants else 0, bound):
+        values = zip(unbroken, eval_family(unbroken, x), eval_family(unbroken, y))
+        unbroken = [mutant for mutant, vx, vy in values if vx == vy]
+        if not unbroken:
+            break
+    left = {label for label, _ in unbroken}
+    outcomes = [{"mutation": label, "fails_invariance": label not in left} for label, _ in mutants]
+    broken = len(mutants) - len(left)
     details = {"mutants": len(mutants), "broken": broken, "outcomes": outcomes}
     return CheckResult("negative_controls", broken >= 3, details)
 

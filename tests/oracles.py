@@ -1,19 +1,24 @@
 """Independent test oracles: first-row cofactor expansion, polynomial
-interpolation, forward-mode derivatives, dense commutators and a plain
-Fraction Gauss-Jordan nullspace.
+interpolation, forward-mode derivatives, dense commutators, a plain
+Fraction Gauss-Jordan nullspace and per-mutant negative controls.
 
 Deliberately naive and separate from the library's elimination-based
 paths; the cofactor expansions work over any commutative ring.
 """
-import math
 import operator
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, NamedTuple
 
-from parinv.generators_gl import MinorRecipe, RatioRecipe, StackedRecipe
+from parinv.generators_gl import MinorRecipe, RatioRecipe, StackedRecipe, eval_generator
 from parinv.linalg import P, Matrix, adjugate, adjugate_rows, det, inverse
-from parinv.sampling import form_matrix, lie_algebra_basis
+from parinv.sampling import (
+    Rng,
+    form_matrix,
+    lie_algebra_basis,
+    sample_group_point,
+    sample_unipotent_radical,
+)
 from parinv.shapes import GroupKind, make_shape
 
 
@@ -109,19 +114,6 @@ def derivative_at_zero(nodes, vals):
 def fraction_mod_p(x: Fraction) -> int:
     """The residue of a rational mod P (its denominator must be prime to P)."""
     return x.numerator * pow(x.denominator, -1, P) % P
-
-
-def integer_rows_lcm(m: Matrix):
-    """Rows cleared of denominators by the lcm of each row's lowest-terms denominators."""
-    rows = []
-    scales = []
-    for row in m.rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        rows.append([x.numerator * (den // x.denominator) for x in row])
-        scales.append(den)
-    return rows, scales
 
 
 def form_equation_by_product(kind, m: Matrix) -> bool:
@@ -377,3 +369,29 @@ def valid_shapes(max_n, kinds=("gl", "sl", "o", "sp")):
         for parts in _compositions(n)
         if kind in ("gl", "sl") or parts == parts[::-1]
     ]
+
+
+def negative_controls_per_mutant(shape, mutants, seed, trials, bound, stream):
+    """The negative-controls details by one loop per mutant: each mutant's
+    generator values at x and at g^-1 x g over trials 0, 1, ... until they
+    differ, with x and then g drawn from Rng(seed, stream(t)) for trial t."""
+    pairs = []
+
+    def pair(t):
+        while len(pairs) <= t:
+            rng = Rng(seed, stream(len(pairs)))
+            x = sample_group_point(shape, rng, bound).matrix
+            g = sample_unipotent_radical(shape, rng, bound).matrix
+            y = inverse(g) @ x @ g
+            pairs.append((x, adjugate(x), y, adjugate(y)))
+        return pairs[t]
+
+    outcomes = []
+    for label, gen in mutants:
+        fails = any(
+            eval_generator(gen, x, adj_x) != eval_generator(gen, y, adj_y)
+            for x, adj_x, y, adj_y in map(pair, range(trials))
+        )
+        outcomes.append({"mutation": label, "fails_invariance": fails})
+    broken = sum(o["fails_invariance"] for o in outcomes)
+    return {"mutants": len(mutants), "broken": broken, "outcomes": outcomes}

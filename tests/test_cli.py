@@ -130,8 +130,15 @@ def test_eval_size_mismatch(tmp_path, capsys):
 
 def test_eval_bad_file(tmp_path, capsys):
     path = tmp_path / "garbage.json"
-    # a JSON boolean is an int subclass in Python, but not a matrix entry
-    for text in ("not json", json.dumps([["1/0", "0"], ["0", "1"]]), "[[1, 2], [3, true]]"):
+    # a JSON boolean is an int subclass in Python, but not a matrix entry; a
+    # string entry is an integer or p/q, never a decimal or an exponent
+    for text in (
+        "not json",
+        json.dumps([["1/0", "0"], ["0", "1"]]),
+        "[[1, 2], [3, true]]",
+        json.dumps([["1e999999999", "0"], ["0", "1"]]),
+        json.dumps([["1.5", "0"], ["0", "1"]]),
+    ):
         path.write_text(text)
         code, out, err = run_cli(
             capsys, "eval", "--group", "gl", "--n", "2", "--parts", "1,1", "--matrix", str(path)

@@ -8,7 +8,6 @@ from parinv.linalg import (
     DimensionError,
     Matrix,
     SingularMatrixError,
-    _integer_rows,
     adjugate,
     adjugate_rows,
     bordered_minors,
@@ -21,13 +20,13 @@ from parinv.linalg import (
     rank,
     rank_mod_p,
 )
-from parinv.sampling import Rng
+from parinv.sampling import Rng, sample_group_point
+from parinv.shapes import make_shape
 
 from oracles import (
     adjugate_cofactor,
     det_cofactor,
     fraction_mod_p,
-    integer_rows_lcm,
     minor_cofactor,
     nullspace_basis,
     rank_cofactor,
@@ -319,6 +318,12 @@ def test_inverse_roundtrip_and_singular():
 def test_matrix_rejects_floats_and_ragged_rows():
     with pytest.raises(TypeError):
         Matrix([[0.5]])
+    # a string entry is an integer or p/q: Fraction's decimals, exponents,
+    # spaces, separators and non-ASCII digits are refused
+    assert Matrix([["+3", "-4/6", "007"]]).rows == ((3, Fraction(-2, 3), 7),)
+    for text in ("1.5", "1e3", "1e999999999", " 3 ", "1_0", "3/", "/4", "1/-2", "", "\u0663", "3\n"):
+        with pytest.raises(ValueError):
+            Matrix([[text]])
     with pytest.raises(DimensionError):
         Matrix([[1, 2], [3]])
 
@@ -393,15 +398,31 @@ def test_equal_matrices_from_different_routes_compare_and_hash_equal():
     assert Matrix([[1, 2]]) != Matrix([[1], [2]])
 
 
-def test_integer_rows_scales_match_row_lcm_oracle():
+def test_inverse_and_adjugate_of_rows_over_different_denominators():
+    # det, adj and the inverse read the numerator X of X/d, not per-row scales:
+    # rows with different lowest-terms denominators, and an SL point whose
+    # row 1 is over its determinant, against the cofactor oracle
     rng = Rng(63)
-    cases = [Matrix.zeros(2, 3), Matrix([[Fraction(1, 6), Fraction(1, 10)], [0, 0], [2, Fraction(3, 4)]])]
+    sl_point = sample_group_point(make_shape("sl", 5, (1, 2, 2)), Rng(63, 1), 10).matrix
+    cases = [Matrix([[Fraction(1, 6), Fraction(1, 10)], [2, Fraction(3, 4)]]), sl_point]
     for _ in range(40):
-        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
-        cases.append(Matrix(random_fractions(rng, nrows, ncols)))
-        cases.append(low_rank(rng, nrows, ncols, rng.randint(0, min(nrows, ncols))))
+        n = rng.randint(1, 5)
+        rows = random_fractions(rng, n, n)
+        rows[0] = [x * Fraction(1, rng.randint(1, 50)) for x in rows[0]]
+        cases.append(Matrix(rows))
+        cases.append(low_rank(rng, n, n, rng.randint(0, n - 1)))
+    assert det(sl_point) == 1 and sl_point.den > 1 and all(x.denominator == 1 for x in sl_point.rows[1])
     for m in cases:
-        assert _integer_rows(m) == integer_rows_lcm(m)
+        rows = [list(r) for r in m.rows]
+        d = det_cofactor(rows)
+        assert det(m) == d
+        assert [list(r) for r in adjugate(m).rows] == adjugate_cofactor(rows)
+        if d:
+            assert [list(r) for r in inverse(m).rows] == [[x / d for x in r] for r in adjugate_cofactor(rows)]
+        else:
+            with pytest.raises(SingularMatrixError):
+                inverse(m)
+    assert adjugate(Matrix([])) == Matrix([]) and inverse(Matrix([])) == Matrix([]) and det(Matrix([])) == 1
 
 
 def test_integer_rows_constructor_equals_the_checked_one():

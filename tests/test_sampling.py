@@ -73,6 +73,22 @@ def test_rng_randint_bounds_and_nonzero():
     assert all(rng.nonzero_int(2) != 0 for _ in range(50))
 
 
+def test_rng_nonzero_int_refuses_a_bound_below_one():
+    # [-0, 0] holds no nonzero integer, so the draw loop would never return
+    for bound in (0, -1):
+        with pytest.raises(ValueError):
+            Rng(5).nonzero_int(bound)
+
+
+def test_radical_positions_are_memoised_per_shape():
+    positions = sampling._strict_upper_positions(GL5)
+    assert positions is sampling._strict_upper_positions(make_shape("gl", 5, (1, 2, 2)))
+    assert positions == tuple(
+        (i, j) for i in range(1, 6) for j in range(1, 6) if GL5.block_of(i) < GL5.block_of(j)
+    )
+    assert len(positions) == dim_unipotent_radical(GL5) == 8
+
+
 def test_rng_randint_refuses_ranges_wider_than_one_draw():
     rng = Rng(5)
     widest = (1 << 63) - 1  # the largest --bound: [-B, B] holds 2^64 - 1 values

@@ -35,6 +35,7 @@ from oracles import (
     QQ,
     forward_jacobian,
     fraction_mod_p,
+    negative_controls_per_mutant,
     orbit_rows_dense,
     tangent_directions,
     valid_shapes,
@@ -275,6 +276,8 @@ def test_monomial_restriction_check():
 def test_bruhat_containment_check():
     assert check_bruhat_containment(GL5, seed=9, trials=10, bound=8).passed
     assert check_bruhat_containment(make_shape("gl", 6, (3, 3)), seed=9, trials=10, bound=8).passed
+    with pytest.raises(ValueError):  # its nonzero diagonal draws need bound >= 1
+        check_bruhat_containment(GL5, seed=9, trials=1, bound=0)
 
 
 def test_slice_support_check():
@@ -340,6 +343,45 @@ def test_negative_controls_fail_invariance():
         result = check_negative_controls(shape, seed=13, trials=40, bound=8)
         assert result.passed
         assert result.details["broken"] >= 3
+
+
+def _negative_stream(t):
+    return verification._stream(verification._S_NEGATIVE, t)
+
+
+def test_negative_controls_match_the_per_mutant_oracle():
+    shapes = valid_shapes(5) + [make_shape(kind, n, parts) for kind, n, parts in ACCEPTANCE_SHAPES]
+    for shape in shapes:
+        want = negative_controls_per_mutant(shape, mutated_generators(shape), 1, 25, 10, _negative_stream)
+        assert check_negative_controls(shape, seed=1, trials=25, bound=10).details == want
+
+
+def test_negative_controls_draw_pairs_only_while_a_mutant_is_unbroken(monkeypatch):
+    draws = []
+
+    def spy(shape, rng, bound, second_component=False):
+        draws.append(rng.stream)
+        return sample_group_point(shape, rng, bound, second_component=second_component)
+
+    monkeypatch.setattr(verification, "sample_group_point", spy)
+    # (shape, seed, bound, pairs after which every mutant is broken, or all 40)
+    cases = [
+        (make_shape("gl", 3, (1, 1, 1)), 1, 1, 5),
+        (make_shape("sp", 4, (1, 2, 1)), 1, 1, 4),
+        (make_shape("gl", 2, (1, 1)), 1, 10, 1),
+        (GL5, 13, 8, 40),  # two mutants stay invariant
+        (make_shape("gl", 1, (1,)), 1, 10, 0),  # no mutants
+    ]
+    for shape, seed, bound, needed in cases:
+        mutants = mutated_generators(shape)
+        broken = [
+            negative_controls_per_mutant(shape, mutants, seed, t, bound, _negative_stream)["broken"]
+            for t in (needed - 1, needed)
+        ]
+        assert (broken[0] < len(mutants) or needed == 0) and (broken[1] == len(mutants) or needed == 40)
+        draws.clear()
+        assert check_negative_controls(shape, seed=seed, trials=40, bound=bound).details["broken"] == broken[1]
+        assert draws == [_negative_stream(t) for t in range(needed)]
 
 
 def test_independence_checks_pass():
