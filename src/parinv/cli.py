@@ -53,6 +53,14 @@ def _bound(text: str) -> int:
     return value
 
 
+def _check_trials(text: str) -> int:
+    """Trials of verify and selftest: each check's stream slice holds 2^20 of them."""
+    value = int(text)
+    if not 1 <= value <= 1 << 20:
+        raise argparse.ArgumentTypeError(f"must be in [1, 2^20], got {value}")
+    return value
+
+
 def _u64(text: str) -> int:
     value = int(text)
     if not 0 <= value < 1 << 64:
@@ -207,36 +215,40 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="parinv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_shape=True):
-        if need_shape:
+    def add_command(name, help, shape=True, sampled=True):
+        """A command with --out, the shape flags unless shape is False, and --seed and
+        --bound if it draws samples; each command adds the other flags it reads."""
+        p = sub.add_parser(name, help=help)
+        if shape:
             p.add_argument("--group", choices=[k.value for k in GroupKind])
             p.add_argument("--n", type=int)
             p.add_argument("--parts", type=str, help="comma-separated composition, e.g. 1,2,2")
-        p.add_argument("--seed", type=_u64, default=1)
-        p.add_argument("--bound", type=_bound, default=10)
-        p.add_argument("--trials", type=_positive_int, default=100)
+        if sampled:
+            p.add_argument("--seed", type=_u64, default=1)
+            p.add_argument("--bound", type=_bound, default=10)
         p.add_argument("--out", type=str, default=None)
+        return p
 
-    add_common(sub.add_parser("describe", help="print generator descriptors as JSON lines"))
-    p_eval = sub.add_parser("eval", help="evaluate all generators at a matrix")
-    add_common(p_eval)
-    p_eval.add_argument("--matrix", type=str, help="JSON matrix file (array of arrays of strings)")
-    p_verify = sub.add_parser("verify", help="run the verification suite")
-    add_common(p_verify)
+    add_command("describe", "print generator descriptors as JSON lines", sampled=False)
+    add_command("eval", "evaluate all generators at a matrix", sampled=False).add_argument(
+        "--matrix", type=str, help="JSON matrix file (array of arrays of strings)"
+    )
+    p_verify = add_command("verify", "run the verification suite")
+    p_verify.add_argument("--trials", type=_check_trials, default=100)
     p_verify.add_argument(
         "--inject-mutation",
         action="store_true",
         help="debug: also assert invariance of a known-broken descriptor (must fail)",
     )
-    p_orbit = sub.add_parser("orbit-dim", help="orbit dimensions at sampled points")
-    add_common(p_orbit)
-    p_orbit.add_argument("--points", type=_positive_int, default=3)
-    p_sample = sub.add_parser("sample", help="emit sampled matrices as JSON lines")
-    add_common(p_sample)
+    add_command("orbit-dim", "orbit dimensions at sampled points").add_argument(
+        "--points", type=_positive_int, default=3
+    )
+    p_sample = add_command("sample", "emit sampled matrices as JSON lines")
+    p_sample.add_argument("--trials", type=_positive_int, default=100)
     p_sample.add_argument("--what", choices=sorted(_SAMPLERS), default="group")
-    p_self = sub.add_parser("selftest", help="verify all reference shapes")
-    add_common(p_self, need_shape=False)
-    p_self.set_defaults(trials=25)
+    add_command("selftest", "verify all reference shapes", shape=False).add_argument(
+        "--trials", type=_check_trials, default=25
+    )
     return parser
 
 

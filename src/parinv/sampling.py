@@ -14,10 +14,13 @@ cover.
 Orthogonal/symplectic group points come from the Cayley transform
 g = (E - A)(E + A)^-1 of exact form-skew matrices A, which stays inside
 the identity component; the form-preserving swap of coordinates 1 and n
-(determinant -1) is available to reach the second orthogonal component.
+(determinant -1; -E on O(1)) reaches the second orthogonal component.
 Points are assembled on integers: a Lie element adds only the nonzero
 entries of its basis elements, and the form equation is checked on the
-integer numerators of the point.
+integer numerators of the point.  One parabolic element p(a, a0, b, v),
+built on the Levi blocks a, the central factor a0 in G_0 and the radical
+pieces b, v, is both the radical element (unipotent a, a0 = E) and, times
+the form F, the group slice S-circ = F p.
 """
 from __future__ import annotations
 
@@ -31,6 +34,7 @@ from .shapes import FlagShape, GroupKind, ShapeError, index_set
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
+_MAX_ATTEMPTS = 64  # resample budget of every rejection loop
 
 
 class SamplingError(RuntimeError):
@@ -106,6 +110,11 @@ def form_matrix(kind: GroupKind, n: int) -> Matrix:
     raise ShapeError(f"no bilinear form for kind {kind.value}")
 
 
+def _signed_rows(f, num) -> list[list[int]]:
+    """Integer rows of f M for the signed permutation f: each is a row of M times a sign."""
+    return [[s * x for x in num[c]] for row in f for c, s in enumerate(row) if s]
+
+
 def defining_equation_holds(kind: GroupKind, m: Matrix) -> bool:
     """Exact membership test in GL / SL / O / Sp."""
     if not m.is_square:
@@ -115,9 +124,8 @@ def defining_equation_holds(kind: GroupKind, m: Matrix) -> bool:
     if kind is GroupKind.SL:
         return det(m) == 1
     f = form_matrix(kind, m.nrows).num
-    # f is a signed permutation, so f M is M's rows permuted and signed; with
-    # m = M / d, m^t f m = f exactly when M^t (f M) = d^2 f, entry by entry
-    fm_cols = list(zip(*([s * x for x in m.num[c]] for row in f for c, s in enumerate(row) if s)))
+    # with m = M / d, m^t f m = f exactly when M^t (f M) = d^2 f, entry by entry
+    fm_cols = list(zip(*_signed_rows(f, m.num)))
     d2 = m.den * m.den
     return all(
         sum(map(operator.mul, col, fm_col)) == d2 * f[i][j]
@@ -145,7 +153,9 @@ class GroupPoint:
 
 
 def swap_matrix(n: int) -> Matrix:
-    """Permutation swapping coordinates 1 and n; preserves the O(n) form, det -1."""
+    """Permutation swapping coordinates 1 and n (-E for n = 1); preserves the O(n) form, det -1."""
+    if n == 1:
+        return Matrix([[-1]])
     perm = list(range(n))
     perm[0], perm[n - 1] = perm[n - 1], perm[0]
     return Matrix([[int(perm[r] == c) for c in range(n)] for r in range(n)])
@@ -252,44 +262,34 @@ def _constrained_block(n0: int, kind: GroupKind, rng: Rng, bound: int) -> Matrix
     return Matrix(rows)
 
 
-def _g0_form(shape: FlagShape) -> Matrix:
-    """J_0: the central factor's form (anti-identity for O, J for Sp)."""
-    return form_matrix(shape.kind, shape.n0)
-
-
 def _sub_parabolic_shape(shape: FlagShape) -> FlagShape:
     """GL(N0) flag shape on the leading parts (n_1, ..., n_ell0)."""
     return FlagShape(GroupKind.GL, shape.N0, shape.parts[: shape.ell0])
 
 
-def _assemble_radical(shape: FlagShape, a: Matrix, b: Matrix, v: Matrix | None) -> Matrix:
-    n0 = shape.n0
+def _parabolic_element(shape: FlagShape, a: Matrix, a0: Matrix | None, b: Matrix, v: Matrix | None) -> Matrix:
+    """The parabolic element on the pieces (a, a0, b, v) of an O/Sp shape with at least two parts.
+
+    p = [[a, a v, a (b + v w / 2)], [0, a0, a0 w], [0, 0, a^sigma^-1]] with
+    w = -J_0 v^t I_0 (J_0 the central factor's form), or [[a, a b], [0, a^sigma^-1]]
+    for an even part count.  a0 = None stands for the identity, so the radical's
+    middle row is [0, E, w] with no product.
+    """
     big_n0 = shape.N0
-    i0 = anti_identity(big_n0)
+    z_nn = Matrix.zeros(big_n0, big_n0)
     a_sigma_inv = inverse(a.anti_transpose())
     if shape.ell % 2 == 0:
-        zero = Matrix.zeros(big_n0, big_n0)
-        return Matrix.from_blocks([[a, a @ b], [zero, a_sigma_inv]])
-    j0 = _g0_form(shape)
-    w = -(j0 @ v.transpose() @ i0)
-    e0, e_mid = Matrix.identity(big_n0), Matrix.identity(n0)
-    z_nn = Matrix.zeros(big_n0, big_n0)
-    z_nm = Matrix.zeros(big_n0, n0)
-    z_mn = Matrix.zeros(n0, big_n0)
-    diag = Matrix.from_blocks(
-        [[a, z_nm, z_nn], [z_mn, e_mid, z_mn], [z_nn, z_nm, a_sigma_inv]]
-    )
-    shear = Matrix.from_blocks(
+        return Matrix.from_blocks([[a, a @ b], [z_nn, a_sigma_inv]])
+    n0 = shape.n0
+    w = -(form_matrix(shape.kind, n0) @ v.transpose() @ anti_identity(big_n0))
+    middle = [Matrix.identity(n0), w] if a0 is None else [a0, a0 @ w]
+    return Matrix.from_blocks(
         [
-            [e0, v, (v @ w) * Fraction(1, 2)],
-            [z_mn, e_mid, w],
-            [z_nn, z_nm, e0],
+            [a, a @ v, a @ (b + (v @ w) * Fraction(1, 2))],
+            [Matrix.zeros(n0, big_n0), *middle],
+            [z_nn, Matrix.zeros(big_n0, n0), a_sigma_inv],
         ]
     )
-    corner = Matrix.from_blocks(
-        [[e0, z_nm, b], [z_mn, e_mid, z_mn], [z_nn, z_nm, e0]]
-    )
-    return diag @ shear @ corner
 
 
 def sample_unipotent_radical(shape: FlagShape, rng: Rng, bound: int = 10) -> GroupPoint:
@@ -303,7 +303,7 @@ def sample_unipotent_radical(shape: FlagShape, rng: Rng, bound: int = 10) -> Gro
     a = _gl_unipotent(_sub_parabolic_shape(shape), rng, bound)
     b = _constrained_block(shape.N0, shape.kind, rng, bound)
     v = _random_matrix(rng, shape.N0, shape.n0, bound) if shape.ell % 2 == 1 else None
-    g = _assemble_radical(shape, a, b, v)
+    g = _parabolic_element(shape, a, None, b, v)
     try:
         return GroupPoint(shape, g)
     except GroupMembershipError as exc:
@@ -320,19 +320,13 @@ def _random_lie_element(shape: FlagShape, rng: Rng, bound: int) -> Matrix:
     return Matrix(total)
 
 
-def sample_group_point(
-    shape: FlagShape,
-    rng: Rng,
-    bound: int = 10,
-    second_component: bool = False,
-    max_attempts: int = 64,
-) -> GroupPoint:
+def sample_group_point(shape: FlagShape, rng: Rng, bound: int = 10, second_component: bool = False) -> GroupPoint:
     """Random exact group element (Cayley transform for O/Sp)."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if second_component and shape.kind is not GroupKind.O:
         raise ShapeError("only the orthogonal group has a second component")
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         if shape.kind in (GroupKind.GL, GroupKind.SL):
             m = _random_matrix(rng, shape.n, shape.n, bound)
             d = det(m)
@@ -348,7 +342,7 @@ def sample_group_point(
         if second_component:
             g = g @ swap_matrix(shape.n)
         return GroupPoint(shape, g)
-    raise SamplingError(f"no valid sample within {max_attempts} attempts")
+    raise SamplingError(f"no valid sample within {_MAX_ATTEMPTS} attempts")
 
 
 def slice_pattern(shape: FlagShape, variant: str) -> frozenset[tuple[int, int]]:
@@ -361,24 +355,19 @@ def slice_pattern(shape: FlagShape, variant: str) -> frozenset[tuple[int, int]]:
     raise ValueError(f"unknown slice variant {variant!r}")
 
 
-@lru_cache(maxsize=None)
 def resolve_slice_sign(shape: FlagShape) -> int:
-    """Sign of the top-right slice block, resolved by testing the form equation."""
+    """Sign of the group slice's top-right block: the form's corner entry F[1][n],
+    or +1 without a corner block (one part)."""
     if shape.kind not in (GroupKind.O, GroupKind.SP):
         raise ShapeError("slice sign is an orthogonal/symplectic notion")
-    rng = Rng(0x5EED, stream=991)
-    for sign in (1, -1):
-        candidate = _osp_slice(shape, Rng(rng.seed, rng.stream), bound=3, sign=sign)
-        if defining_equation_holds(shape.kind, candidate):
-            return sign
-    raise InternalConsistencyError("neither sign satisfies the form equation on the slice")
+    return form_matrix(shape.kind, shape.n).num[0][shape.n - 1] if shape.ell >= 2 else 1
 
 
-def _random_block_upper(shape0: FlagShape, rng: Rng, bound: int, max_attempts: int = 64) -> Matrix:
+def _random_block_upper(shape0: FlagShape, rng: Rng, bound: int) -> Matrix:
     """Random invertible block-upper element of the GL(N0) parabolic."""
     rows = [[0] * shape0.n for _ in range(shape0.n)]
     for seg in shape0.segments:
-        for _ in range(max_attempts):
+        for _ in range(_MAX_ATTEMPTS):
             block = _random_matrix(rng, len(seg), len(seg), bound)
             if det(block) != 0:
                 break
@@ -392,45 +381,25 @@ def _random_block_upper(shape0: FlagShape, rng: Rng, bound: int, max_attempts: i
     return Matrix(rows)
 
 
-def _osp_slice(shape: FlagShape, rng: Rng, bound: int, sign: int) -> Matrix:
-    n0, big_n0 = shape.n0, shape.N0
-    if shape.ell == 1:  # whole-group parabolic: the slice degenerates to J_0 * G_0
-        a0 = sample_group_point(FlagShape(shape.kind, n0, (n0,)), rng, bound).matrix
-        return _g0_form(shape) @ a0
-    i0 = anti_identity(big_n0)
-    a = _random_block_upper(_sub_parabolic_shape(shape), rng, bound)
-    b = _constrained_block(big_n0, shape.kind, rng, bound)
-    a_sigma_inv = inverse(a.anti_transpose())
-    top_right = (i0 @ a_sigma_inv) * sign
-    bottom_left = i0 @ a
-    if shape.ell % 2 == 0:
-        zero = Matrix.zeros(big_n0, big_n0)
-        return Matrix.from_blocks([[zero, top_right], [bottom_left, bottom_left @ b]])
-    g0_shape = FlagShape(shape.kind, n0, (n0,))
-    a0 = sample_group_point(g0_shape, rng, bound).matrix
-    j0 = _g0_form(shape)
-    v = _random_matrix(rng, big_n0, n0, bound)
-    w = -(j0 @ v.transpose() @ i0)
-    mid = j0 @ a0
-    z_nn = Matrix.zeros(big_n0, big_n0)
-    z_nm = Matrix.zeros(big_n0, n0)
-    z_mn = Matrix.zeros(n0, big_n0)
-    return Matrix.from_blocks(
-        [
-            [z_nn, z_nm, top_right],
-            [z_mn, mid, mid @ w],
-            [bottom_left, bottom_left @ v, bottom_left @ (b + (v @ w) * Fraction(1, 2))],
-        ]
-    )
+def _osp_slice(shape: FlagShape, rng: Rng, bound: int) -> Matrix:
+    """S-circ = F p: the form times a parabolic element with a block-upper a, drawn
+    in the order a, b, a0, v (F a0 for one part, where the parabolic is G_0)."""
+    n0 = shape.n0
+    if shape.ell == 1:
+        p = sample_group_point(FlagShape(shape.kind, n0, (n0,)), rng, bound).matrix
+    else:
+        a = _random_block_upper(_sub_parabolic_shape(shape), rng, bound)
+        b = _constrained_block(shape.N0, shape.kind, rng, bound)
+        a0 = v = None
+        if shape.ell % 2 == 1:
+            a0 = sample_group_point(FlagShape(shape.kind, n0, (n0,)), rng, bound).matrix
+            v = _random_matrix(rng, shape.N0, n0, bound)
+        p = _parabolic_element(shape, a, a0, b, v)
+    f = form_matrix(shape.kind, shape.n).num
+    return Matrix.from_integer_rows(_signed_rows(f, p.num)) * Fraction(1, p.den)
 
 
-def sample_slice(
-    shape: FlagShape,
-    rng: Rng,
-    bound: int = 10,
-    variant: str = "s",
-    max_attempts: int = 64,
-) -> GroupPoint:
+def sample_slice(shape: FlagShape, rng: Rng, bound: int = 10, variant: str = "s") -> GroupPoint:
     """Random exact point of the slice S, S0 or (for O/Sp) the group slice.
 
     S and S0 live inside GL(n) whatever the shape's kind, so those points
@@ -441,14 +410,14 @@ def sample_slice(
     n = shape.n
     if variant == "s":
         pattern = slice_pattern(shape, "s")
-        for _ in range(max_attempts):
+        for _ in range(_MAX_ATTEMPTS):
             rows = [[0] * n for _ in range(n)]
             for (i, j) in pattern:
                 rows[i - 1][j - 1] = rng.randint(-bound, bound)
             m = Matrix(rows)
             if det(m) != 0:
                 return GroupPoint(shape.as_gl(), m)
-        raise SamplingError(f"no invertible slice point within {max_attempts} attempts")
+        raise SamplingError(f"no invertible slice point within {_MAX_ATTEMPTS} attempts")
     if variant == "s0":
         rows = [[0] * n for _ in range(n)]
         for (i, j) in slice_pattern(shape, "s0"):
@@ -459,8 +428,7 @@ def sample_slice(
     if variant == "s_circ":
         if shape.kind not in (GroupKind.O, GroupKind.SP):
             raise ShapeError("the group slice exists only for orthogonal/symplectic kinds")
-        sign = resolve_slice_sign(shape)
-        g = _osp_slice(shape, rng, bound, sign)
+        g = _osp_slice(shape, rng, bound)
         try:
             return GroupPoint(shape, g)
         except GroupMembershipError as exc:

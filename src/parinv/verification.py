@@ -72,6 +72,9 @@ _S_NEGATIVE = 10
 
 
 def _stream(base: int, trial: int) -> int:
+    """Stream of one trial: base's slice holds trials 0 .. 2^20 - 1, and no trial outside it."""
+    if not 0 <= trial < 1 << 20:
+        raise ValueError(f"trial {trial} lies outside its check's 2^20 streams")
     return base * (1 << 20) + trial
 
 

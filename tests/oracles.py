@@ -1,6 +1,7 @@
 """Independent test oracles: first-row cofactor expansion, polynomial
 interpolation, forward-mode derivatives, dense commutators, a plain
-Fraction Gauss-Jordan nullspace and per-mutant negative controls.
+Fraction Gauss-Jordan nullspace, per-mutant negative controls, and the
+O/Sp radical and group slice as explicit block products.
 
 Deliberately naive and separate from the library's elimination-based
 paths; the cofactor expansions work over any commutative ring.
@@ -12,14 +13,16 @@ from typing import Callable, NamedTuple
 
 from parinv.generators_gl import MinorRecipe, RatioRecipe, StackedRecipe, eval_generator
 from parinv.linalg import P, Matrix, adjugate, adjugate_rows, det, inverse
+from parinv import sampling
 from parinv.sampling import (
     Rng,
+    anti_identity,
     form_matrix,
     lie_algebra_basis,
     sample_group_point,
     sample_unipotent_radical,
 )
-from parinv.shapes import GroupKind, make_shape
+from parinv.shapes import FlagShape, GroupKind, make_shape
 
 
 def det_cofactor(rows):
@@ -395,3 +398,54 @@ def negative_controls_per_mutant(shape, mutants, seed, trials, bound, stream):
         outcomes.append({"mutation": label, "fails_invariance": fails})
     broken = sum(o["fails_invariance"] for o in outcomes)
     return {"mutants": len(mutants), "broken": broken, "outcomes": outcomes}
+
+
+def radical_by_product(shape, rng, bound):
+    """An O/Sp radical element as the product diag(a, E, a^sigma^-1) shear(v, w) corner(b),
+    w = -J_0 v^t I_0, with a, b and v drawn as ``sample_unipotent_radical`` draws them."""
+    if shape.ell == 1:
+        return Matrix.identity(shape.n)
+    n0, big_n0 = shape.n0, shape.N0
+    a = sampling._gl_unipotent(FlagShape(GroupKind.GL, big_n0, shape.parts[: shape.ell0]), rng, bound)
+    b = sampling._constrained_block(big_n0, shape.kind, rng, bound)
+    a_sigma_inv = inverse(a.anti_transpose())
+    e0, z_nn = Matrix.identity(big_n0), Matrix.zeros(big_n0, big_n0)
+    if shape.ell % 2 == 0:
+        diag = Matrix.from_blocks([[a, z_nn], [z_nn, a_sigma_inv]])
+        return diag @ Matrix.from_blocks([[e0, b], [z_nn, e0]])
+    v = sampling._random_matrix(rng, big_n0, n0, bound)
+    w = -(form_matrix(shape.kind, n0) @ v.transpose() @ anti_identity(big_n0))
+    e_mid, z_nm, z_mn = Matrix.identity(n0), Matrix.zeros(big_n0, n0), Matrix.zeros(n0, big_n0)
+    diag = Matrix.from_blocks([[a, z_nm, z_nn], [z_mn, e_mid, z_mn], [z_nn, z_nm, a_sigma_inv]])
+    shear = Matrix.from_blocks([[e0, v, (v @ w) * Fraction(1, 2)], [z_mn, e_mid, w], [z_nn, z_nm, e0]])
+    corner = Matrix.from_blocks([[e0, z_nm, b], [z_mn, e_mid, z_mn], [z_nn, z_nm, e0]])
+    return diag @ shear @ corner
+
+
+def group_slice_by_blocks(shape, rng, bound, sign):
+    """The O/Sp group slice written out block by block, its top-right block
+    sign I_0 a^sigma^-1, with a, b, a0 and v drawn in that order."""
+    n0, big_n0 = shape.n0, shape.N0
+    if shape.ell == 1:
+        return form_matrix(shape.kind, n0) @ sample_group_point(shape, rng, bound).matrix
+    i0 = anti_identity(big_n0)
+    a = sampling._random_block_upper(FlagShape(GroupKind.GL, big_n0, shape.parts[: shape.ell0]), rng, bound)
+    b = sampling._constrained_block(big_n0, shape.kind, rng, bound)
+    top_right = (i0 @ inverse(a.anti_transpose())) * sign
+    bottom_left = i0 @ a
+    if shape.ell % 2 == 0:
+        zero = Matrix.zeros(big_n0, big_n0)
+        return Matrix.from_blocks([[zero, top_right], [bottom_left, bottom_left @ b]])
+    a0 = sample_group_point(make_shape(shape.kind.value, n0, (n0,)), rng, bound).matrix
+    v = sampling._random_matrix(rng, big_n0, n0, bound)
+    j0 = form_matrix(shape.kind, n0)
+    w = -(j0 @ v.transpose() @ i0)
+    mid = j0 @ a0
+    z_nm, z_mn = Matrix.zeros(big_n0, n0), Matrix.zeros(n0, big_n0)
+    return Matrix.from_blocks(
+        [
+            [Matrix.zeros(big_n0, big_n0), z_nm, top_right],
+            [z_mn, mid, mid @ w],
+            [bottom_left, bottom_left @ v, bottom_left @ (b + (v @ w) * Fraction(1, 2))],
+        ]
+    )

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from parinv.cli import main
+from parinv.cli import _build_parser, main
 from parinv.linalg import Matrix, matrix_to_json
 from parinv.generators_gl import nonvanishing_witness
 from parinv.sampling import Rng, sample_group_point
@@ -272,6 +272,13 @@ def test_unknown_flag_is_rejected():
         ["sample", *shape, "--seed", "-1"],
         ["sample", *shape, "--seed", str(1 << 64)],
         ["sample", *shape, "--seed", "ten"],
+        # each command takes only the flags it reads
+        ["describe", *shape, "--seed", "1"],
+        ["eval", *shape, "--trials", "3"],
+        ["orbit-dim", *shape, "--trials", "2"],
+        # a check's stream slice holds 2^20 trials
+        ["verify", *shape, "--trials", str((1 << 20) + 1)],
+        ["selftest", "--trials", str((1 << 20) + 1)],
     ]
     for argv in bad:
         with pytest.raises(SystemExit) as exc:
@@ -279,6 +286,10 @@ def test_unknown_flag_is_rejected():
         assert exc.value.code == 2, argv
     assert main(["sample", *shape, "--seed", str((1 << 64) - 1), "--trials", "1"]) == 0
     assert main(["sample", *shape, "--bound", str((1 << 63) - 1), "--trials", "1"]) == 0
+    parse = _build_parser().parse_args
+    for argv in (["verify", *shape], ["selftest"]):
+        assert parse([*argv, "--trials", str(1 << 20)]).trials == 1 << 20
+    assert parse(["sample", *shape, "--trials", str((1 << 20) + 1)]).trials == (1 << 20) + 1
 
 
 def test_console_entry_point():

@@ -27,7 +27,13 @@ from parinv.sampling import (
 )
 from parinv.shapes import GroupKind, ShapeError, dim_unipotent_radical, index_set, make_shape
 
-from oracles import form_equation_by_product, lie_basis_by_nullspace, valid_shapes
+from oracles import (
+    form_equation_by_product,
+    group_slice_by_blocks,
+    lie_basis_by_nullspace,
+    radical_by_product,
+    valid_shapes,
+)
 
 GL5 = make_shape("gl", 5, (1, 2, 2))
 SL5 = make_shape("sl", 5, (1, 2, 2))
@@ -185,6 +191,11 @@ def test_orthogonal_second_component():
     assert defining_equation_holds(GroupKind.O, g2)
     with pytest.raises(ShapeError):
         sample_group_point(SP4, Rng(35, 1), 5, second_component=True)
+    # O(1) = {1, -1}: there the swap of coordinates 1 and n is -E, not E
+    for n in (1, 2, 3):
+        g = sample_group_point(make_shape("o", n, (1,) * n), Rng(35, n), 5, second_component=True).matrix
+        assert det(g) == -1
+        assert defining_equation_holds(GroupKind.O, g)
 
 
 def test_swap_matrix_preserves_form():
@@ -203,9 +214,15 @@ def test_sampler_determinism():
     assert c == d
 
 
-def test_sampling_budget_error():
+def test_sampling_budget_error(monkeypatch):
+    # one budget for every rejection loop: group points, slice points, block-upper factors
+    monkeypatch.setattr(sampling, "_MAX_ATTEMPTS", 0)
     with pytest.raises(SamplingError):
-        sample_group_point(GL5, Rng(37), 5, max_attempts=0)
+        sample_group_point(GL5, Rng(37), 5)
+    with pytest.raises(SamplingError):
+        sample_slice(GL5, Rng(37), 5, "s")
+    with pytest.raises(SamplingError):  # two parts: no G_0 point is drawn
+        sample_slice(make_shape("o", 4, (2, 2)), Rng(37), 5, "s_circ")
 
 
 def test_closure_under_conjugation():
@@ -296,11 +313,13 @@ def test_slice_s0_support_chain_and_invertibility():
 
 
 def test_slice_sign_resolution_is_kind_dependent():
-    # resolved empirically, then frozen: +1 orthogonal, -1 symplectic
+    # the form's corner entry F[1][n]: +1 orthogonal, -1 symplectic; +1 for one part
     assert resolve_slice_sign(O5) == 1
     assert resolve_slice_sign(O6) == 1
     assert resolve_slice_sign(SP4) == -1
     assert resolve_slice_sign(SP8) == -1
+    assert resolve_slice_sign(make_shape("sp", 2, (2,))) == 1
+    assert resolve_slice_sign(make_shape("sp", 4, (4,))) == 1
     with pytest.raises(ShapeError):
         resolve_slice_sign(GL5)
 
@@ -403,12 +422,12 @@ def test_cayley_equals_product_form_on_form_skew_integer_matrices():
 
 
 def test_failed_radical_assembly_is_an_internal_error(monkeypatch):
-    assemble = sampling._assemble_radical
+    assemble = sampling._parabolic_element
 
-    def perturbed(shape, a, b, v):
-        return _shifted(assemble(shape, a, b, v), 0, 0, 1)
+    def perturbed(shape, a, a0, b, v):
+        return _shifted(assemble(shape, a, a0, b, v), 0, 0, 1)
 
-    monkeypatch.setattr(sampling, "_assemble_radical", perturbed)
+    monkeypatch.setattr(sampling, "_parabolic_element", perturbed)
     for shape in (O5, O6, SP8):
         with pytest.raises(InternalConsistencyError):
             sample_unipotent_radical(shape, Rng(76), 5)
@@ -417,13 +436,30 @@ def test_failed_radical_assembly_is_an_internal_error(monkeypatch):
 def test_failed_group_slice_is_an_internal_error(monkeypatch):
     build = sampling._osp_slice
 
-    def perturbed(shape, rng, bound, sign):
-        return _shifted(build(shape, rng, bound, sign), 0, 0, 1)
+    def perturbed(shape, rng, bound):
+        return _shifted(build(shape, rng, bound), 0, 0, 1)
 
     monkeypatch.setattr(sampling, "_osp_slice", perturbed)
     for shape in (O5, SP8):
         with pytest.raises(InternalConsistencyError):
             sample_slice(shape, Rng(77), 5, "s_circ")
+
+
+@pytest.mark.parametrize(
+    "shape",
+    valid_shapes(8, ("o", "sp"))
+    + [make_shape("o", 9, (2, 2, 1, 2, 2)), make_shape("sp", 12, (2, 2, 4, 2, 2))],
+    ids=lambda s: f"{s.kind.value}{s.n}-" + "-".join(map(str, s.parts)),
+)
+def test_parabolic_assembly_matches_the_block_product_oracles(shape):
+    # the radical is p(a, E, b, v) and the group slice F p(a, a0, b, v); the
+    # slice sign is the first of +1, -1 whose written-out slice keeps the form
+    sign = resolve_slice_sign(shape)
+    for seed in (1, 2):
+        assert sample_unipotent_radical(shape, Rng(seed, 5), 6).matrix == radical_by_product(shape, Rng(seed, 5), 6)
+        assert sample_slice(shape, Rng(seed, 6), 6, "s_circ").matrix == group_slice_by_blocks(shape, Rng(seed, 6), 6, sign)
+        keeps = [s for s in (1, -1) if defining_equation_holds(shape.kind, group_slice_by_blocks(shape, Rng(seed, 6), 6, s))]
+        assert keeps[0] == sign
 
 
 def _sampler_outputs(shape, seed):
@@ -436,18 +472,25 @@ def _sampler_outputs(shape, seed):
     return [matrix_to_json(p.matrix) for p in points]
 
 
-# sha256 of the sampled points at seeds 1-3 (default bound), recorded before
-# group points were assembled on integers; pins the order of the rng draws
+# sha256 of the sampled points at seeds 1-3 (default bound); pins the order of
+# the rng draws.  The first five were recorded before group points were
+# assembled on integers, the last four before the radical and the group slice
+# shared one parabolic-element assembly (listed in that order, so the test
+# ids of the first five keep their indices)
 PINNED_SAMPLES = {
     ("gl", 5, (1, 2, 2)): "6939e68a6973dfafa69f5a5bd0903e1132640c3bcb9efa18b70cbe6840326d87",
-    ("sl", 5, (1, 2, 2)): "8738cbfdae1c275451bb360cd6b410ae0bc44a389d91d97735c9b9f0bd5083a5",
-    ("o", 5, (1, 3, 1)): "ad970d9631efc8c24663f4500817692cbb17da6653308e78b3abe8f3ddadaef8",
     ("o", 4, (2, 2)): "5032a9106387a96563a56d2dd954a52b3dbd603e5e9cb8970e282d860fc35f40",
+    ("o", 5, (1, 3, 1)): "ad970d9631efc8c24663f4500817692cbb17da6653308e78b3abe8f3ddadaef8",
+    ("sl", 5, (1, 2, 2)): "8738cbfdae1c275451bb360cd6b410ae0bc44a389d91d97735c9b9f0bd5083a5",
     ("sp", 8, (1, 2, 2, 2, 1)): "c5ff225e10d926305a6b4dffe312e2f376c025652b283ada68748272df9d4161",
+    ("o", 9, (2, 2, 1, 2, 2)): "441e961202c9cf5ecdde4e2c830a9a3fc6eb48d3af13475d877e40644b3c9af4",
+    ("sp", 12, (2, 2, 4, 2, 2)): "e9817f6920c2dc2a07d998abd47a0b8d7008b0fed00b1293891f91c42764eb34",
+    ("sp", 4, (4,)): "0052fb74fbc626730d81e11c736ac5152336a157e073627749254137522fb0d8",
+    ("o", 3, (1, 1, 1)): "20ce9f07c3cb55e070c2d1906b3294371c6ef5274c7a17454d288c5e9126f8e0",
 }
 
 
-@pytest.mark.parametrize("kind,n,parts", sorted(PINNED_SAMPLES))
+@pytest.mark.parametrize("kind,n,parts", list(PINNED_SAMPLES))
 def test_sampler_output_is_pinned(kind, n, parts):
     shape = make_shape(kind, n, parts)
     text = json.dumps([_sampler_outputs(shape, seed) for seed in (1, 2, 3)], separators=(",", ":"))

@@ -345,6 +345,17 @@ def test_negative_controls_fail_invariance():
         assert result.details["broken"] >= 3
 
 
+def test_stream_slices_are_disjoint():
+    # trial 2^20 of one check would be trial 0 of the next check's slice
+    last = (1 << 20) - 1
+    assert verification._stream(verification._S_INVARIANCE, last) + 1 == verification._stream(
+        verification._S_SECOND_COMPONENT, 0
+    )
+    for trial in (-1, 1 << 20):
+        with pytest.raises(ValueError):
+            verification._stream(verification._S_INVARIANCE, trial)
+
+
 def _negative_stream(t):
     return verification._stream(verification._S_NEGATIVE, t)
 
