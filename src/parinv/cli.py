@@ -139,9 +139,7 @@ def _cmd_verify(args) -> int:
         inject_mutation=args.inject_mutation,
     )
     lines: list[str] = []
-    text = report.to_canonical_json()
-    lines.append(text)
-    sys.stdout.write(text + "\n")
+    _emit(report.to_json_obj(), lines)
     print(f"duration_ms={report.duration_ms:.1f}", file=sys.stderr)
     _write_out(args, lines)
     return 0 if report.passed else 1
@@ -265,10 +263,7 @@ def main(argv=None) -> int:
     }
     try:
         return commands[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ShapeError, GroupMembershipError) as exc:
+    except (UsageError, ShapeError, GroupMembershipError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

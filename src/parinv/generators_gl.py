@@ -26,10 +26,6 @@ from .linalg import Matrix, adjugate, det_rows
 from .shapes import FlagShape, GroupKind, IndexPair, ShapeError, index_set
 
 
-class RatioUndefinedError(ZeroDivisionError):
-    """The denominator minor vanishes at this point; resample, not a bug."""
-
-
 def _check_indices(**lists: tuple[int, ...]):
     """Every index is 1-based and no list repeats one (an index past n fails on evaluation)."""
     for name, lst in lists.items():
@@ -111,25 +107,17 @@ def recipe_rows(recipe: MinorRecipe | StackedRecipe, x, adj=None) -> list[list[i
             + [[adj[r - 1][c] for c in cols] for r in recipe.adj_rows])
 
 
-def _recipe_value(recipe: MinorRecipe | StackedRecipe, point: Matrix, adj: Matrix | None) -> Fraction:
-    """The determinant of the recipe's numerator rows over the denominators of the rows taken."""
+def eval_generator(gen: Generator, point: Matrix, adj: Matrix | None = None) -> Fraction:
+    """Exact value of a minor or stacked generator at the point: the determinant of
+    the recipe's numerator rows over the denominators of the rows taken; pass adj
+    to reuse the adjugate."""
+    recipe = gen.recipe
     if isinstance(recipe, MinorRecipe):
         return Fraction(det_rows(recipe_rows(recipe, point.num)), point.den ** len(recipe.rows))
     if adj is None:
         adj = adjugate(point)
     rows = recipe_rows(recipe, point.num, adj.num)
     return Fraction(det_rows(rows), point.den ** len(recipe.x_rows) * adj.den ** len(recipe.adj_rows))
-
-
-def eval_generator(gen: Generator, point: Matrix, adj: Matrix | None = None) -> Fraction:
-    """Exact value of a generator at the point; pass adj to reuse the adjugate."""
-    recipe = gen.recipe
-    if not isinstance(recipe, RatioRecipe):
-        return _recipe_value(recipe, point, adj)
-    den = _recipe_value(recipe.denominator, point, None)
-    if den == 0:
-        raise RatioUndefinedError("ratio undefined at this point")
-    return _recipe_value(recipe.numerator, point, None) / den
 
 
 def nonvanishing_witness(shape: FlagShape, pair: IndexPair) -> Matrix:

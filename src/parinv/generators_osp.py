@@ -37,7 +37,6 @@ from .shapes import FlagShape, GroupKind, index_set
 
 @dataclass(frozen=True)
 class GeneratorSystem:
-    shape: FlagShape
     j: tuple[Generator, ...]
     m0: MinorRecipe | None
     ratios: tuple[Generator, ...]
@@ -68,7 +67,7 @@ def corner_minor_recipe(shape: FlagShape) -> MinorRecipe | None:
 def build_system(shape: FlagShape) -> GeneratorSystem:
     """The full generator system of a shape (memoised); general linear kinds have no ratio layer."""
     if shape.kind in (GroupKind.GL, GroupKind.SL):
-        return GeneratorSystem(shape, build_generators(shape), None, ())
+        return GeneratorSystem(build_generators(shape), None, ())
     idx = index_set(shape)
     keep = set(idx.pairs)
     j = tuple(g for g in build_generators(shape.as_gl()) if g.pair in keep)
@@ -88,7 +87,7 @@ def build_system(shape: FlagShape) -> GeneratorSystem:
             )
             for pair in idx.gamma0
         )
-    return GeneratorSystem(shape, j, m0, ratios)
+    return GeneratorSystem(j, m0, ratios)
 
 
 def _chain_slot(recipe: Recipe, n: int):

@@ -182,8 +182,9 @@ def _strict_upper_positions(shape: FlagShape) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def lie_algebra_basis(shape: FlagShape, which: str = "group") -> tuple[Matrix, ...]:
-    """Exact basis of the group's Lie algebra, or of the radical's.
+def lie_algebra_basis(shape: FlagShape, which: str = "group") -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Exact basis of the group's Lie algebra, or of the radical's, each element as
+    its nonzero (i, j, value) entries, 0-based and row-major; every basis is integral.
 
     GL uses matrix units; SL the trace-zero ones.  Orthogonal/symplectic
     bases solve A^t F + F A = 0 in closed form over the allowed positions
@@ -199,39 +200,28 @@ def lie_algebra_basis(shape: FlagShape, which: str = "group") -> tuple[Matrix, .
     n = shape.n
     if shape.kind in (GroupKind.GL, GroupKind.SL):
         if which == "radical":
-            return tuple(Matrix.unit(n, i, j) for i, j in _strict_upper_positions(shape))
-        basis = [Matrix.unit(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+            return tuple(((i - 1, j - 1, 1),) for i, j in _strict_upper_positions(shape))
         if shape.kind is GroupKind.GL:
-            basis = [Matrix.unit(n, i, i) for i in range(1, n + 1)] + basis
+            diagonal = [((k, k, 1),) for k in range(n)]
         else:
-            basis = [Matrix.unit(n, k, k) - Matrix.unit(n, k + 1, k + 1) for k in range(1, n)] + basis
-        return tuple(basis)
+            diagonal = [((k, k, 1), (k + 1, k + 1, -1)) for k in range(n - 1)]
+        return tuple(diagonal + [((i, j, 1),) for i in range(n) for j in range(n) if i != j])
     positions = (
         _strict_upper_positions(shape)
         if which == "radical"
         else [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     )
-    order = {p: k for k, p in enumerate(positions)}
     s = [row[n - 1 - r] for r, row in enumerate(form_matrix(shape.kind, n).num)]  # s[r - 1] = s_r
     basis = []
-    for k, (i, j) in enumerate(positions):
-        partner = (n + 1 - j, n + 1 - i)
+    for i, j in positions:
+        pi, pj = n + 1 - j, n + 1 - i
         c = -s[n - i] * s[n - j]
-        if order[partner] < k or (partner == (i, j) and c == 1):
-            rows = [[0] * n for _ in range(n)]
-            rows[partner[0] - 1][partner[1] - 1] = c
-            rows[i - 1][j - 1] = 1
-            basis.append(Matrix(rows))
+        if (pi, pj) == (i, j):
+            if c == 1:
+                basis.append(((i - 1, j - 1, 1),))
+        elif (pi, pj) < (i, j):  # the partner came first: positions are row-major
+            basis.append(((pi - 1, pj - 1, c), (i - 1, j - 1, 1)))
     return tuple(basis)
-
-
-@lru_cache(maxsize=None)
-def sparse_lie_basis(shape: FlagShape, which: str = "group") -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """``lie_algebra_basis`` as nonzero (i, j, value) entries, 0-based; every basis is integral."""
-    return tuple(
-        tuple((i, j, x) for i, row in enumerate(b.num) for j, x in enumerate(row) if x)
-        for b in lie_algebra_basis(shape, which)
-    )
 
 
 def _random_matrix(rng: Rng, nrows: int, ncols: int, bound: int) -> Matrix:
@@ -313,7 +303,7 @@ def sample_unipotent_radical(shape: FlagShape, rng: Rng, bound: int = 10) -> Gro
 def _random_lie_element(shape: FlagShape, rng: Rng, bound: int) -> Matrix:
     """Sum of c * basis element, one draw c per element in basis order."""
     total = [[0] * shape.n for _ in range(shape.n)]
-    for entries in sparse_lie_basis(shape, "group"):
+    for entries in lie_algebra_basis(shape, "group"):
         c = rng.randint(-bound, bound)
         for i, j, x in entries:
             total[i][j] += x * c

@@ -130,14 +130,13 @@ def make_shape(kind, n: int, parts) -> FlagShape:
 class GeneratorIndexSet:
     """Index pairs carrying generators, in ascending total order.
 
-    ``sigma0`` holds the pairs on or above the anti-diagonal (i + j <= n + 1),
-    ``sigma1`` the rest.  ``gamma0`` is the central square I_0 x I_0 for
-    orthogonal/symplectic kinds with an odd number of parts, else empty.
+    ``sigma0`` holds the pairs on or above the anti-diagonal (i + j <= n + 1).
+    ``gamma0`` is the central square I_0 x I_0 for orthogonal/symplectic
+    kinds with an odd number of parts, else empty.
     """
 
     pairs: tuple[IndexPair, ...]
     sigma0: frozenset[IndexPair]
-    sigma1: frozenset[IndexPair]
     gamma0: tuple[IndexPair, ...]
 
 
@@ -171,11 +170,9 @@ def index_set(shape: FlagShape) -> GeneratorIndexSet:
             sorted((IndexPair(i, j) for i in central for j in central), key=order_key)
         )
     pairs.sort(key=order_key)
-    sigma0 = frozenset(p for p in pairs if p.i + p.j <= shape.n + 1)
     return GeneratorIndexSet(
         pairs=tuple(pairs),
-        sigma0=sigma0,
-        sigma1=frozenset(pairs) - sigma0,
+        sigma0=frozenset(p for p in pairs if p.i + p.j <= shape.n + 1),
         gamma0=gamma0,
     )
 

@@ -41,12 +41,12 @@ from .linalg import (
 from .sampling import (
     Rng,
     anti_identity,
+    lie_algebra_basis,
     resolve_slice_sign,
     sample_group_point,
     sample_slice,
     sample_unipotent_radical,
     slice_pattern,
-    sparse_lie_basis,
 )
 from .shapes import (
     FlagShape,
@@ -70,12 +70,19 @@ _S_INDEPENDENCE = 8
 _S_WITNESS = 9
 _S_NEGATIVE = 10
 
+_RANK_POINTS = 3  # sampled points of the orbit-dimension and independence checks
+_WITNESS_BUDGET = 10  # samples per component in the nonvanishing search
+_MUTANT_LIMIT = 8  # size of the negative-control pool
+_MONOMIAL_POINTS = 20  # flattened-slice points of the monomial check
+_SLICE_SAMPLES = 10  # samples per slice variant of the support check
+_MAX_TRIALS = 1 << 20  # the trials of one check's stream slice
+
 
 def _stream(base: int, trial: int) -> int:
     """Stream of one trial: base's slice holds trials 0 .. 2^20 - 1, and no trial outside it."""
-    if not 0 <= trial < 1 << 20:
+    if not 0 <= trial < _MAX_TRIALS:
         raise ValueError(f"trial {trial} lies outside its check's 2^20 streams")
-    return base * (1 << 20) + trial
+    return base * _MAX_TRIALS + trial
 
 
 @dataclass
@@ -306,13 +313,13 @@ def _distinct_indices(rng: Rng, count: int, n: int) -> list[int]:
     return sorted(chosen)
 
 
-def check_monomial_restriction(shape: FlagShape, seed: int, points: int, bound: int) -> CheckResult:
+def check_monomial_restriction(shape: FlagShape, seed: int, bound: int) -> CheckResult:
     """On the flattened slice every upper generator is its signed chain monomial."""
     sigma0 = set(index_set(shape).sigma0)
     gens0 = [(str(g.pair), g) for g in build_generators(shape) if g.pair in sigma0]
     signs = [s0_monomial_sign(shape, g) for _, g in gens0]
     counterexample = None
-    for t in range(points):
+    for t in range(_MONOMIAL_POINTS):
         rng = Rng(seed, _stream(_S_MONOMIAL, t))
         m = sample_slice(shape, rng, bound, variant="s0").matrix
         got = eval_family(gens0, m)
@@ -327,7 +334,7 @@ def check_monomial_restriction(shape: FlagShape, seed: int, points: int, bound: 
                 "monomial": str(want[k]),
             }
             break
-    details = {"points": points, "upper_generators": len(gens0)}
+    details = {"points": _MONOMIAL_POINTS, "upper_generators": len(gens0)}
     return CheckResult("monomial_restriction", counterexample is None, details, counterexample)
 
 
@@ -364,14 +371,14 @@ def _support(m: Matrix) -> set[tuple[int, int]]:
     return {(i, j) for i, row in enumerate(m.num, 1) for j, x in enumerate(row, 1) if x != 0}
 
 
-def check_slice_support(shape: FlagShape, seed: int, samples: int, bound: int) -> CheckResult:
+def check_slice_support(shape: FlagShape, seed: int, bound: int) -> CheckResult:
     """Sampled slice points stay on (and jointly cover) their support pattern."""
     problems = []
-    details: dict = {"samples": samples}
+    details: dict = {"samples": _SLICE_SAMPLES}
     pattern = slice_pattern(shape, "s")
     seen: set[tuple[int, int]] = set()
     n = shape.n
-    for t in range(samples):
+    for t in range(_SLICE_SAMPLES):
         rng = Rng(seed, _stream(_S_SLICE, t))
         support = _support(sample_slice(shape, rng, bound, variant="s").matrix)
         if not support <= pattern:
@@ -380,7 +387,7 @@ def check_slice_support(shape: FlagShape, seed: int, samples: int, bound: int) -
     if seen != pattern:
         problems.append("slice samples never cover some pattern positions")
     pattern0 = slice_pattern(shape, "s0")
-    for t in range(samples):
+    for t in range(_SLICE_SAMPLES):
         rng = Rng(seed, _stream(_S_SLICE, 1000 + t))
         m = sample_slice(shape, rng, bound, variant="s0").matrix
         if not _support(m) <= pattern0:
@@ -389,7 +396,7 @@ def check_slice_support(shape: FlagShape, seed: int, samples: int, bound: int) -
             problems.append(f"flattened slice sample {t} has a zero on the anti-diagonal chain")
     if shape.kind in (GroupKind.O, GroupKind.SP):
         details["s_circ_sign"] = resolve_slice_sign(shape)
-        for t in range(samples):
+        for t in range(_SLICE_SAMPLES):
             rng = Rng(seed, _stream(_S_SLICE, 2000 + t))
             if not _support(sample_slice(shape, rng, bound, variant="s_circ").matrix) <= pattern:
                 problems.append(f"group slice sample {t} leaves the ambient support pattern")
@@ -403,7 +410,7 @@ def _orbit_rows(shape: FlagShape, x) -> list[list[int]]:
     subtracts v * row j of x from row i."""
     n = shape.n
     rows = []
-    for entries in sparse_lie_basis(shape, "radical"):
+    for entries in lie_algebra_basis(shape, "radical"):
         out = [0] * (n * n)
         for i, j, v in entries:
             for r in range(n):
@@ -422,9 +429,9 @@ def orbit_dimension(shape: FlagShape, point: Matrix) -> int:
     return rank(Matrix.from_integer_rows(_orbit_rows(shape, point.num)))
 
 
-def check_orbit_dimension(shape: FlagShape, seed: int, bound: int, points: int = 3) -> CheckResult:
+def check_orbit_dimension(shape: FlagShape, seed: int, bound: int) -> CheckResult:
     dims = []
-    for t in range(points):
+    for t in range(_RANK_POINTS):
         rng = Rng(seed, _stream(_S_ORBIT, t))
         x = sample_group_point(shape, rng, bound).matrix
         dims.append(orbit_dimension(shape, x))
@@ -551,7 +558,7 @@ def _tangent_rows(shape: FlagShape, gens: tuple[Generator, ...], x, p: int | Non
     grads = _gradients(gens, x, p)
     if shape.kind is GroupKind.GL:
         return [[v for col in zip(*h) for v in col] for h in grads]
-    basis = sparse_lie_basis(shape, "group")
+    basis = lie_algebra_basis(shape, "group")
     hxs = [matmul_rows(h, x, p) for h in grads]
     return _reduced([[sum(v * hx[j][i] for i, j, v in a) for a in basis] for hx in hxs], p)
 
@@ -563,11 +570,12 @@ def independence_rank(shape: FlagShape, point: Matrix) -> dict:
     ``_tangent_rows``); generators are homogeneous, so each row is a nonzero
     multiple of the row at the point.  The central ratio rows Gamma0 of the
     orthogonal/symplectic kinds, whose expected rank is below their count,
-    are ranked exactly.  Since rank(J; Gamma) <= rows(J) + rank(Gamma) and
-    residue ranks are lower bounds, one residue rank of all rows that meets
-    rows(J) + rank(Gamma) certifies both the J rank and the combined rank;
-    otherwise the exact ranks decide.  Without a ratio layer Gamma0 is
-    empty and the combined rank is the J rank.
+    are built once, exactly, and ranked exactly.  Since rank(J; Gamma) <=
+    rows(J) + rank(Gamma) and residue ranks are lower bounds, one residue
+    rank of the J rows mod P and those Gamma0 rows (the residue rows are the
+    exact rows reduced) that meets rows(J) + rank(Gamma) certifies both the
+    J rank and the combined rank; otherwise the exact ranks decide.  Without
+    a ratio layer Gamma0 is empty and the combined rank is the J rank.
     """
     system = build_system(shape)
     j_gens, ratios = system.j, system.ratios
@@ -577,7 +585,7 @@ def independence_rank(shape: FlagShape, point: Matrix) -> dict:
     gamma = _tangent_rows(shape, ratios, x)
     gamma_rank = rank(Matrix.from_integer_rows(gamma)) if ratios else 0
     bound = len(j_gens) + gamma_rank
-    if rank_mod_p(_tangent_rows(shape, j_gens + ratios, x, P)) == bound:
+    if rank_mod_p(_tangent_rows(shape, j_gens, x, P) + gamma) == bound:
         j_rank, combined_rank = len(j_gens), bound
     else:
         j_jac = _tangent_rows(shape, j_gens, x)
@@ -607,7 +615,7 @@ def _in_generic_position(shape: FlagShape, x: Matrix) -> bool:
     return all(eval_family(system.family()[:len(system.j) + (system.m0 is not None)], x))
 
 
-def check_independence(shape: FlagShape, seed: int, bound: int, points: int = 3) -> CheckResult:
+def check_independence(shape: FlagShape, seed: int, bound: int) -> CheckResult:
     """Jacobian tangent ranks at several generic random points.
 
     General/special linear kinds must reach the full generator count.
@@ -620,7 +628,7 @@ def check_independence(shape: FlagShape, seed: int, bound: int, points: int = 3)
     results = []
     attempt = 0
     skipped = 0
-    while len(results) < points and attempt < points + 24:
+    while len(results) < _RANK_POINTS and attempt < _RANK_POINTS + 24:
         rng = Rng(seed, _stream(_S_INDEPENDENCE, attempt))
         attempt += 1
         x = sample_group_point(shape, rng, bound).matrix
@@ -639,7 +647,7 @@ def check_independence(shape: FlagShape, seed: int, bound: int, points: int = 3)
     }
     # without a ratio layer the rank is the J rank and Gamma0 is 0 of 0
     passed = (
-        len(results) == points
+        len(results) == _RANK_POINTS
         and any(r["j_rank"] == r["j_expected"] for r in results)
         and any(r["gamma0_rank"] == r["gamma0_expected"] for r in results)
     )
@@ -652,7 +660,7 @@ def check_independence(shape: FlagShape, seed: int, bound: int, points: int = 3)
     return CheckResult("independence_rank", passed, details)
 
 
-def check_nonvanishing(shape: FlagShape, seed: int, bound: int, budget: int = 10) -> CheckResult:
+def check_nonvanishing(shape: FlagShape, seed: int, bound: int) -> CheckResult:
     """Every generator must attain a nonzero value within the sample budget.
 
     Orthogonal groups have two components and some corner minors vanish
@@ -666,11 +674,11 @@ def check_nonvanishing(shape: FlagShape, seed: int, bound: int, budget: int = 10
     def first_hits(wanted, second_component):
         """Index of the first sample at which each wanted generator is nonzero."""
         hits = {}
-        for t in range(budget):
+        for t in range(_WITNESS_BUDGET):
             left = [(label, g) for label, g in wanted if label not in hits]
             if not left:
                 break
-            rng = Rng(seed, _stream(_S_WITNESS, (budget if second_component else 0) + t))
+            rng = Rng(seed, _stream(_S_WITNESS, (_WITNESS_BUDGET if second_component else 0) + t))
             m = sample_group_point(shape, rng, bound, second_component=second_component).matrix
             for (label, _), value in zip(left, eval_family(left, m)):
                 if value != 0:
@@ -685,7 +693,7 @@ def check_nonvanishing(shape: FlagShape, seed: int, bound: int, budget: int = 10
         second_component_hits = [label for label, _ in missing if label in swapped]
     missing = [label for label, _ in missing if label not in second_component_hits]
     details = {
-        "budget": budget,
+        "budget": _WITNESS_BUDGET,
         "missing": missing,
         "second_component_witnesses": second_component_hits,
         "max_samples_needed": max(first_hit.values(), default=0) + 1 if first_hit else 0,
@@ -715,7 +723,7 @@ def _mutations_of(gen: Generator, n: int):
             yield "adjugate_dropped", MinorRecipe(merged, recipe.cols)
 
 
-def mutated_generators(shape: FlagShape, limit: int = 8) -> list[tuple[str, Generator]]:
+def mutated_generators(shape: FlagShape) -> list[tuple[str, Generator]]:
     """Deterministic broken descriptors that must fail invariance.
 
     Candidates are spread evenly over the whole generator list: mutations
@@ -733,10 +741,10 @@ def mutated_generators(shape: FlagShape, limit: int = 8) -> list[tuple[str, Gene
                 continue
             seen.add(recipe)
             all_candidates.append((f"{label}[{g.pair.i},{g.pair.j}]", Generator(g.pair, recipe)))
-    if len(all_candidates) <= limit:
+    if len(all_candidates) <= _MUTANT_LIMIT:
         return all_candidates
     last = len(all_candidates) - 1
-    picks = sorted({round(k * last / (limit - 1)) for k in range(limit)})
+    picks = sorted({round(k * last / (_MUTANT_LIMIT - 1)) for k in range(_MUTANT_LIMIT)})
     return [all_candidates[i] for i in picks]
 
 
@@ -767,7 +775,10 @@ def run_suite(
     bound: int = 10,
     inject_mutation: bool = False,
 ) -> VerificationReport:
-    """All checks for one shape; deterministic for fixed (shape, seed, trials, bound)."""
+    """All checks for one shape; deterministic for fixed (shape, seed, trials, bound).
+    Trials outside [1, 2^20], one check's stream slice, are refused before any draw."""
+    if not 1 <= trials <= _MAX_TRIALS:
+        raise ValueError(f"trials must be in [1, 2^20], got {trials}")
     start = time.perf_counter()
     checks = [check_index_combinatorics(shape), check_golden_values(shape)]
     extra = None
@@ -783,9 +794,9 @@ def run_suite(
         )
     checks.append(check_adjugate_minor_lemma(shape, seed, min(trials, 50), bound))
     if shape.kind in (GroupKind.GL, GroupKind.SL):
-        checks.append(check_monomial_restriction(shape, seed, 20, bound))
+        checks.append(check_monomial_restriction(shape, seed, bound))
         checks.append(check_bruhat_containment(shape, seed, min(trials, 25), bound))
-    checks.append(check_slice_support(shape, seed, 10, bound))
+    checks.append(check_slice_support(shape, seed, bound))
     orbit_check = check_orbit_dimension(shape, seed, bound)
     checks.append(orbit_check)
     generic_orbit = max(orbit_check.details["orbit_dims"])

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, NamedTuple
 
-from parinv.generators_gl import MinorRecipe, RatioRecipe, StackedRecipe, eval_generator
+from parinv.generators_gl import MinorRecipe, StackedRecipe, eval_generator
 from parinv.linalg import P, Matrix, adjugate, adjugate_rows, det, inverse
 from parinv import sampling
 from parinv.sampling import (
@@ -77,10 +77,6 @@ def eval_descriptor_cofactor(gen, m: Matrix, adj=None):
         rows = [[m.rows[r - 1][c - 1] for c in recipe.cols] for r in recipe.x_rows]
         rows += [[adj[r - 1][c - 1] for c in recipe.cols] for r in recipe.adj_rows]
         return det_cofactor(rows)
-    if isinstance(recipe, RatioRecipe):
-        num = minor_cofactor(m, recipe.numerator.rows, recipe.numerator.cols)
-        den = minor_cofactor(m, recipe.denominator.rows, recipe.denominator.cols)
-        return num / den
     raise TypeError(f"unknown recipe {recipe!r}")
 
 
@@ -336,19 +332,30 @@ def trace_pairing(h, b) -> int:
     return sum(h[r][c] * b[c][r] for r in range(len(h)) for c in range(len(h)))
 
 
+def dense_lie_basis(shape, which):
+    """``lie_algebra_basis`` as Matrices, each the sum of its (i, j, value) entries."""
+    basis = []
+    for entries in lie_algebra_basis(shape, which):
+        rows = [[0] * shape.n for _ in range(shape.n)]
+        for i, j, v in entries:
+            rows[i][j] += v
+        basis.append(Matrix(rows))
+    return tuple(basis)
+
+
 def tangent_directions(shape, point, f):
     """The tangent directions of the shape's group at a point of f: the units
     E_ij (row-major) for GL, point @ A over the Lie basis otherwise."""
     n = shape.n
     if shape.kind is GroupKind.GL:
         return [f.reduce(Matrix.unit(n, i, j)) for i in range(1, n + 1) for j in range(1, n + 1)]
-    return [f.matmul(point, f.reduce(a)) for a in lie_algebra_basis(shape, "group")]
+    return [f.matmul(point, f.reduce(a)) for a in dense_lie_basis(shape, "group")]
 
 
 def orbit_rows_dense(shape, point):
     """Flattened point @ A - A @ point over the radical basis, by dense products."""
     rows = [[v for row in (point @ a - a @ point).rows for v in row]
-            for a in lie_algebra_basis(shape, "radical")]
+            for a in dense_lie_basis(shape, "radical")]
     return Matrix(rows)
 
 

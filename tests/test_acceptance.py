@@ -115,7 +115,7 @@ def test_criterion_4_independence_ranks():
     expectations = {GL5: 17, SL5: 16, SP8: 22}
     ok = True
     for shape, expected in expectations.items():
-        result = check_independence(shape, seed=1, bound=10, points=3)
+        result = check_independence(shape, seed=1, bound=10)
         details = result.details
         ok = ok and result.passed
         ok = ok and details["ranks"] == [expected] * 3 and details["deficits"] == 0
@@ -155,7 +155,7 @@ def test_criterion_7_nonvanishing_witnesses():
     start = time.perf_counter()
     ok = True
     for shape in SUITE_SHAPES:
-        result = check_nonvanishing(shape, seed=1, bound=10, budget=10)
+        result = check_nonvanishing(shape, seed=1, bound=10)
         ok = ok and result.passed and result.details["missing"] == []
     _report(7, "nonvanishing witnesses within 10 samples", ok, time.perf_counter() - start)
 

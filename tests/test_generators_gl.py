@@ -130,7 +130,7 @@ def test_eval_matches_cofactor_oracle_at_identity_and_random():
     # a stacked generator over den^|x_rows| * adj.den^|adj_rows|
     for shape, second in RATIONAL_POINT_SHAPES:
         system = build_system(shape)
-        family = [g for _, g in system.family()] + list(system.ratios)
+        family = [g for _, g in system.family()]
         for t in range(2):
             m = sample_group_point(shape, Rng(58, t), 6, second_component=second).matrix
             adj = adjugate(m)
@@ -151,8 +151,6 @@ def test_eval_refuses_indices_past_n():
         StackedRecipe((6,), (5,), (1, 2)),
         StackedRecipe((5,), (6,), (1, 2)),
         StackedRecipe((5,), (5,), (1, 6)),
-        RatioRecipe(MinorRecipe((6,), (1,)), MinorRecipe((1,), (1,))),
-        RatioRecipe(MinorRecipe((1,), (1,)), MinorRecipe((1,), (6,))),
     ):
         with pytest.raises(IndexError):
             eval_generator(Generator(None, recipe), m)

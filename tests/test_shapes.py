@@ -66,7 +66,7 @@ def test_example_gl_index_set():
     assert {tuple(p) for p in idx.sigma0} == {
         (5, 1), (4, 1), (4, 2), (3, 3), (2, 3), (2, 4), (1, 5)
     }
-    assert len(idx.sigma1) == 10
+    assert len(set(idx.pairs) - idx.sigma0) == 10  # the pairs below the anti-diagonal
 
 
 def test_single_block_gl_keeps_all_coordinates():

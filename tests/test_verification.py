@@ -269,8 +269,8 @@ def test_adjugate_minor_lemma_check():
 
 
 def test_monomial_restriction_check():
-    assert check_monomial_restriction(GL5, seed=8, points=10, bound=9).passed
-    assert check_monomial_restriction(SL5, seed=8, points=10, bound=9).passed
+    assert check_monomial_restriction(GL5, seed=8, bound=9).passed
+    assert check_monomial_restriction(SL5, seed=8, bound=9).passed
 
 
 def test_bruhat_containment_check():
@@ -281,8 +281,8 @@ def test_bruhat_containment_check():
 
 
 def test_slice_support_check():
-    assert check_slice_support(GL5, seed=10, samples=8, bound=9).passed
-    result = check_slice_support(SP4, seed=10, samples=8, bound=9)
+    assert check_slice_support(GL5, seed=10, bound=9).passed
+    result = check_slice_support(SP4, seed=10, bound=9)
     assert result.passed
     assert result.details["s_circ_sign"] == -1
 
@@ -398,6 +398,35 @@ def test_negative_controls_draw_pairs_only_while_a_mutant_is_unbroken(monkeypatc
 def test_independence_checks_pass():
     for shape in (GL5, SL5, SP4, O5):
         assert check_independence(shape, seed=14, bound=10).passed
+
+
+@pytest.mark.parametrize(
+    "shape", [make_shape("o", 9, (2, 2, 1, 2, 2)), make_shape("sp", 8, (1, 2, 2, 2, 1))], ids=_label
+)
+def test_independence_builds_the_ratio_rows_once_per_point(shape, monkeypatch):
+    # the central ratio rows are built once, over Q, and join the residue J rows as they are
+    ratios = set(build_system(shape).ratios)
+    passed = []
+    real = verification._gradients
+
+    def spy(gens, x, p=None):
+        passed.append((sum(g in ratios for g in gens), p))
+        return real(gens, x, p)
+
+    monkeypatch.setattr(verification, "_gradients", spy)
+    result = check_independence(shape, seed=1, bound=10)
+    assert result.passed and result.details["points"] == 3
+    assert [call for call in passed if call[0]] == [(len(ratios), None)] * 3
+
+
+@pytest.mark.parametrize("trials", [0, -1, (1 << 20) + 1])
+def test_run_suite_refuses_trials_outside_the_stream_slice(trials, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a sample was drawn before trials was checked")
+
+    monkeypatch.setattr(verification, "sample_group_point", no_draw)
+    with pytest.raises(ValueError, match=r"\[1, 2\^20\]"):
+        run_suite(GL5, seed=1, trials=trials)
 
 
 def test_run_suite_passes_and_is_byte_deterministic():
