@@ -8,7 +8,7 @@ import argparse
 import json
 import sys
 
-from .generators_gl import Generator, descriptor_to_json
+from .generators_gl import Generator, descriptor_to_json, ratio_to_json
 from .generators_osp import build_system, eval_family
 from .linalg import matrix_from_json, matrix_to_json
 from .sampling import GroupPoint, GroupMembershipError, Rng, defining_equation_holds, sample_group_point, sample_slice, sample_unipotent_radical
@@ -92,7 +92,7 @@ def _cmd_describe(args) -> int:
     if system.m0 is not None:
         _emit({**descriptor_to_json(Generator(None, system.m0)), "name": "M0"}, lines)
     for gen in system.ratios:
-        _emit(descriptor_to_json(gen), lines)
+        _emit(ratio_to_json(gen, system.m0), lines)
     _write_out(args, lines)
     return 0
 

@@ -58,13 +58,7 @@ class StackedRecipe:
         _check_indices(x_rows=self.x_rows, adj_rows=self.adj_rows, cols=self.cols)
 
 
-@dataclass(frozen=True)
-class RatioRecipe:
-    numerator: MinorRecipe
-    denominator: MinorRecipe
-
-
-Recipe = MinorRecipe | StackedRecipe | RatioRecipe
+Recipe = MinorRecipe | StackedRecipe
 
 
 @dataclass(frozen=True)
@@ -95,7 +89,7 @@ def build_generators(shape: FlagShape) -> tuple[Generator, ...]:
     return tuple(out)
 
 
-def recipe_rows(recipe: MinorRecipe | StackedRecipe, x, adj=None) -> list[list[int]]:
+def recipe_rows(recipe: Recipe, x, adj=None) -> list[list[int]]:
     """Fresh square rows of the recipe's matrix: the rows of x, then (stacked
     only) the rows of adj, restricted to the recipe's columns, all 1-based
     and in the stored order.  An index past the size of x raises IndexError.
@@ -108,7 +102,7 @@ def recipe_rows(recipe: MinorRecipe | StackedRecipe, x, adj=None) -> list[list[i
 
 
 def eval_generator(gen: Generator, point: Matrix, adj: Matrix | None = None) -> Fraction:
-    """Exact value of a minor or stacked generator at the point: the determinant of
+    """Exact value of a generator at the point: the determinant of
     the recipe's numerator rows over the denominators of the rows taken; pass adj
     to reuse the adjugate."""
     recipe = gen.recipe
@@ -192,17 +186,17 @@ def descriptor_to_json(gen: Generator) -> dict:
     recipe = gen.recipe
     if isinstance(recipe, MinorRecipe):
         out.update(_minor_json(recipe))
-    elif isinstance(recipe, StackedRecipe):
+    else:
         out.update(
             kind="stacked",
             x_rows=list(recipe.x_rows),
             adj_rows=list(recipe.adj_rows),
             cols=list(recipe.cols),
         )
-    else:
-        out.update(
-            kind="ratio",
-            numerator=_minor_json(recipe.numerator),
-            denominator=_minor_json(recipe.denominator),
-        )
     return out
+
+
+def ratio_to_json(gen: Generator, m0: MinorRecipe) -> dict:
+    """Stable JSON form of the central ratio M(i,j) / M0, gen being the minor M(i,j)."""
+    return {"pair": list(gen.pair), "kind": "ratio", "numerator": _minor_json(gen.recipe),
+            "denominator": _minor_json(m0)}

@@ -26,7 +26,6 @@ from .linalg import Matrix, adjugate, bordered_minors
 from .generators_gl import (
     Generator,
     MinorRecipe,
-    RatioRecipe,
     Recipe,
     StackedRecipe,
     build_generators,
@@ -37,6 +36,8 @@ from .shapes import FlagShape, GroupKind, index_set
 
 @dataclass(frozen=True)
 class GeneratorSystem:
+    """J, the corner minor M0, and the augmented minors M_ij of the ratios M_ij / M0."""
+
     j: tuple[Generator, ...]
     m0: MinorRecipe | None
     ratios: tuple[Generator, ...]
@@ -46,10 +47,7 @@ class GeneratorSystem:
         out = [(f"J({g.pair.i},{g.pair.j})", g) for g in self.j]
         if self.m0 is not None:
             out.append(("M0", Generator(None, self.m0)))
-            out.extend(
-                (f"M({g.pair.i},{g.pair.j})", Generator(g.pair, g.recipe.numerator))
-                for g in self.ratios
-            )
+            out.extend((f"M({g.pair.i},{g.pair.j})", g) for g in self.ratios)
         return out
 
 
@@ -75,16 +73,8 @@ def build_system(shape: FlagShape) -> GeneratorSystem:
     ratios: tuple[Generator, ...] = ()
     if m0 is not None:
         ratios = tuple(
-            Generator(
-                pair,
-                RatioRecipe(
-                    MinorRecipe(
-                        tuple(sorted(m0.rows + (pair.i,))),
-                        tuple(sorted(m0.cols + (pair.j,))),
-                    ),
-                    m0,
-                ),
-            )
+            Generator(pair, MinorRecipe(tuple(sorted(m0.rows + (pair.i,))),
+                                        tuple(sorted(m0.cols + (pair.j,)))))
             for pair in idx.gamma0
         )
     return GeneratorSystem(j, m0, ratios)

@@ -31,6 +31,7 @@ from .linalg import (
     adjugate,
     adjugate_rows,
     det,
+    det_rows,
     inverse,
     matmul_rows,
     matrix_to_json,
@@ -476,7 +477,7 @@ def _gradients(gens: tuple[Generator, ...], x, p: int | None = None) -> list[lis
     """c_g * H for the transposed gradient H = (grad g)^t of each generator at
     the integer rows x, as integer rows; mod the prime p when given (x reduced).
 
-    dg[B] = tr(H B) for every direction B.  Each c_g is a polynomial in x:
+    dg[B] = tr(H B) for every direction B.  Each c_g is 1 or det x:
     - A minor on rows R and columns C has c_g = 1: by Jacobi's formula
       d det S = tr(adj(S) dS), H is adj(S) placed on C x R, so one adjugate
       gives the whole gradient (the cheap gradient of Baur and Strassen 1983).
@@ -485,10 +486,9 @@ def _gradients(gens: tuple[Generator, ...], x, p: int | None = None) -> list[lis
       d adj(x)[B] = tr(adj(x) B) x^-1 - adj(x) B x^-1 and det(x) x^-1 = adj(x),
       c_g H = det(x) K_x placed on C x R_x + tr(K_a adj(x)[R_a, C]) adj(x)
       - adj(x)[:, C] K_a adj(x)[R_a, :].
-    - A ratio N / D has c_g = D(x)^2: by the quotient rule c_g H = D H_N - N H_D.
     Over Q every c_g is nonzero where a Jacobian is taken, since group points
-    are invertible and the generic position keeps D = M_0 off zero; so each
-    row is a nonzero multiple of the true one and the rank is unchanged.
+    are invertible; so each row is a nonzero multiple of the true one and the
+    rank is unchanged.
     Nothing is divided, so the rows mod p are the exact rows reduced, and a
     residue rank stays a lower bound even where some c_g vanishes mod p.
     """
@@ -503,24 +503,15 @@ def _gradients(gens: tuple[Generator, ...], x, p: int | None = None) -> list[lis
                 target[c - 1] = v
         return out
 
-    def det_from(s, adj):
-        """det S from adj(S), by Laplace expansion along the first row; 1 for the empty S."""
-        return sum(v * row[0] for v, row in zip(s[0], adj)) if s else 1
-
-    def minor_parts(recipe: MinorRecipe):
-        """The submatrix S of the recipe and adj(S)."""
-        sub = recipe_rows(recipe, x)
-        return sub, adjugate_rows(sub, p)
-
     if any(isinstance(g.recipe, StackedRecipe) for g in gens):
         adj_x = adjugate_rows(x, p)
-        det_x = det_from(x, adj_x)
+        det_x = sum(v * row[0] for v, row in zip(x[0], adj_x))  # Laplace along the first row
     out = []
     for g in gens:
         recipe = g.recipe
         if isinstance(recipe, MinorRecipe):
-            out.append(placed(minor_parts(recipe)[1], recipe.cols, recipe.rows))
-        elif isinstance(recipe, StackedRecipe):
+            out.append(placed(adjugate_rows(recipe_rows(recipe, x), p), recipe.cols, recipe.rows))
+        else:
             cols = [c - 1 for c in recipe.cols]
             m = len(recipe.x_rows)
             adj_a = [adj_x[r - 1] for r in recipe.adj_rows]  # adj(x)[R_a, :]
@@ -532,15 +523,6 @@ def _gradients(gens: tuple[Generator, ...], x, p: int | None = None) -> list[lis
             k_x = placed([row[:m] for row in k], recipe.cols, recipe.x_rows)
             out.append(_reduced([
                 [det_x * u + t * a - w for u, a, w in zip(*lines)] for lines in zip(k_x, adj_x, chain)
-            ], p))
-        else:
-            num, den = recipe.numerator, recipe.denominator
-            num_sub, num_adj = minor_parts(num)
-            den_sub, den_adj = minor_parts(den)
-            num_val, den_val = det_from(num_sub, num_adj), det_from(den_sub, den_adj)
-            h_num, h_den = placed(num_adj, num.cols, num.rows), placed(den_adj, den.cols, den.rows)
-            out.append(_reduced([
-                [den_val * u - num_val * w for u, w in zip(*lines)] for lines in zip(h_num, h_den)
             ], p))
     return out
 
@@ -563,6 +545,24 @@ def _tangent_rows(shape: FlagShape, gens: tuple[Generator, ...], x, p: int | Non
     return _reduced([[sum(v * hx[j][i] for i, j, v in a) for a in basis] for hx in hxs], p)
 
 
+def _gamma0_rows(shape: FlagShape, x) -> list[list[int]]:
+    """Gamma0, the tangent rows of the central ratios M_ij / M_0 at the integer
+    rows x, over Q; empty without a ratio layer.
+
+    The tangent map is linear, so by the quotient rule M_0(x)^2 times the
+    row of M_ij / M_0 is M_0(x) row(M_ij) - M_ij(x) row(M_0), built from the
+    minor rows of ``_tangent_rows`` and one determinant per minor.  The
+    generic position keeps M_0 off zero, so the rank is that of the ratios.
+    """
+    system = build_system(shape)
+    if system.m0 is None:
+        return []
+    gens = (Generator(None, system.m0),) + system.ratios
+    m0_value, *values = [det_rows(recipe_rows(g.recipe, x)) for g in gens]
+    m0_row, *rows = _tangent_rows(shape, gens, x)
+    return [[m0_value * u - v * w for u, w in zip(row, m0_row)] for v, row in zip(values, rows)]
+
+
 def independence_rank(shape: FlagShape, point: Matrix) -> dict:
     """Exact Jacobian rank of the generator system on the tangent space at the point.
 
@@ -582,7 +582,7 @@ def independence_rank(shape: FlagShape, point: Matrix) -> dict:
     x = point.num
     # the central factor G0 exists only with a ratio layer (odd ell, O/Sp kinds)
     gamma_expected = dim_g0(shape) if ratios else 0
-    gamma = _tangent_rows(shape, ratios, x)
+    gamma = _gamma0_rows(shape, x)
     gamma_rank = rank(Matrix.from_integer_rows(gamma)) if ratios else 0
     bound = len(j_gens) + gamma_rank
     if rank_mod_p(_tangent_rows(shape, j_gens, x, P) + gamma) == bound:

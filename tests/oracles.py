@@ -179,7 +179,7 @@ class Field(NamedTuple):
     """The operations the forward-mode oracle needs over one field.
 
     Over ``QQ`` matrices are ``Matrix`` objects; over ``GF_P`` they are
-    lists of residue rows, and dividing by a residue 0 raises.
+    lists of residue rows, and inverting a matrix singular mod P raises.
     """
 
     reduce: Callable  # Matrix -> matrix of this field
@@ -190,7 +190,6 @@ class Field(NamedTuple):
     trace_product: Callable
     scale: Callable  # (matrix, scalar) -> matrix
     sub: Callable  # (matrix, matrix) -> matrix
-    div: Callable  # (scalar, scalar) -> scalar
     submatrix: Callable  # (matrix, 1-based rows, 1-based cols) -> matrix
     stacked: Callable  # (stacked recipe, top, bottom) -> matrix
 
@@ -257,7 +256,6 @@ QQ = Field(
     trace_product=_trace_product,
     scale=operator.mul,
     sub=operator.sub,
-    div=operator.truediv,
     submatrix=lambda a, rows, cols: a.submatrix([r - 1 for r in rows], [c - 1 for c in cols]),
     stacked=_stacked_matrix,
 )
@@ -270,7 +268,6 @@ GF_P = Field(
     trace_product=lambda a, b: sum(sum(map(operator.mul, row, col)) for row, col in zip(a, zip(*b))) % P,
     scale=lambda a, s: [[x * s % P for x in row] for row in a],
     sub=lambda a, b: [[(x - y) % P for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)],
-    div=lambda x, y: x * pow(y, -1, P) % P,
     submatrix=_rows_at,
     stacked=lambda recipe, top, bottom: (
         _rows_at(top, recipe.x_rows, recipe.cols) + _rows_at(bottom, recipe.adj_rows, recipe.cols)
@@ -294,15 +291,8 @@ def forward_jacobian(gens, point, directions, f=QQ):
         recipe = g.recipe
         if isinstance(recipe, MinorRecipe):
             prepared.append(f.adjugate(f.submatrix(point, recipe.rows, recipe.cols)))
-        elif isinstance(recipe, StackedRecipe):
-            prepared.append(f.adjugate(f.stacked(recipe, point, adj_x)))
         else:
-            num_sub = f.submatrix(point, recipe.numerator.rows, recipe.numerator.cols)
-            den_sub = f.submatrix(point, recipe.denominator.rows, recipe.denominator.cols)
-            den_val = f.det(den_sub)
-            if den_val == 0:
-                raise ZeroDivisionError("ratio generator undefined at this point")
-            prepared.append((f.adjugate(num_sub), f.det(num_sub), f.adjugate(den_sub), den_val))
+            prepared.append(f.adjugate(f.stacked(recipe, point, adj_x)))
     rows = [[] for _ in gens]
     for b in directions:
         d_adj = None
@@ -310,19 +300,13 @@ def forward_jacobian(gens, point, directions, f=QQ):
             recipe = g.recipe
             if isinstance(recipe, MinorRecipe):
                 row.append(f.trace_product(prep, f.submatrix(b, recipe.rows, recipe.cols)))
-            elif isinstance(recipe, StackedRecipe):
+            else:
                 if d_adj is None:
                     d_adj = f.sub(
                         f.scale(x_inv, f.trace_product(adj_x, b)),
                         f.matmul(f.matmul(adj_x, b), x_inv),
                     )
                 row.append(f.trace_product(prep, f.stacked(recipe, b, d_adj)))
-            else:
-                adj_num, num_val, adj_den, den_val = prep
-                num, den = recipe.numerator, recipe.denominator
-                d_num = f.trace_product(adj_num, f.submatrix(b, num.rows, num.cols))
-                d_den = f.trace_product(adj_den, f.submatrix(b, den.rows, den.cols))
-                row.append(f.div(d_num * den_val - num_val * d_den, den_val * den_val))
     return rows
 
 

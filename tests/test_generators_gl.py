@@ -5,7 +5,6 @@ import pytest
 from parinv.generators_gl import (
     Generator,
     MinorRecipe,
-    RatioRecipe,
     StackedRecipe,
     build_generators,
     descriptor_to_json,
@@ -303,7 +302,6 @@ def test_recipe_validation():
         lambda: StackedRecipe((4, 4), (5,), (1, 2, 3)),
         lambda: StackedRecipe((5,), (4, 4), (1, 2, 3)),
         lambda: StackedRecipe((5,), (5,), (2, 2)),
-        lambda: RatioRecipe(MinorRecipe((1,), (1,)), MinorRecipe((0,), (1,))),
     ]
     for make in bad:
         with pytest.raises(ShapeError):

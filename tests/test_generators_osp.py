@@ -5,13 +5,12 @@ import pytest
 from parinv import generators_osp
 from parinv.generators_gl import (
     MinorRecipe,
-    RatioRecipe,
     build_generators,
     eval_generator,
     nonvanishing_witness,
 )
 from parinv.generators_osp import GeneratorSystem, build_system, corner_minor_recipe, eval_family
-from parinv.linalg import P, Matrix, adjugate, inverse, minor
+from parinv.linalg import Matrix, adjugate, inverse, minor
 from parinv.sampling import Rng, anti_identity, sample_group_point, sample_slice, sample_unipotent_radical
 from parinv.shapes import GroupKind, IndexPair, index_set, make_shape
 from parinv import verification
@@ -19,10 +18,9 @@ from parinv import verification
 from oracles import (
     adjugate_cofactor,
     derivative_at_zero,
+    dense_lie_basis,
     eval_descriptor_cofactor,
-    fraction_mod_p,
     minor_cofactor,
-    trace_pairing,
     valid_shapes,
 )
 
@@ -51,9 +49,7 @@ def test_sp8_system_structure():
     assert len(system.ratios) == 4
     assert [tuple(g.pair) for g in system.ratios] == [(5, 4), (4, 4), (5, 5), (4, 5)]
     m45 = next(g for g in system.ratios if g.pair == IndexPair(4, 5))
-    assert m45.recipe == RatioRecipe(
-        MinorRecipe((4, 6, 7, 8), (1, 2, 3, 5)), MinorRecipe((6, 7, 8), (1, 2, 3))
-    )
+    assert m45.recipe == MinorRecipe((4, 6, 7, 8), (1, 2, 3, 5))
     labels = [label for label, _ in system.family()]
     assert labels[19:] == ["M0", "M(5,4)", "M(4,4)", "M(5,5)", "M(4,5)"]
 
@@ -114,7 +110,7 @@ def test_ratio_values_match_two_minor_oracle():
         found += 1
         values = named_values(system, pt.matrix)
         for gen in system.ratios:
-            num = minor_cofactor(pt.matrix, gen.recipe.numerator.rows, gen.recipe.numerator.cols)
+            num = minor_cofactor(pt.matrix, gen.recipe.rows, gen.recipe.cols)
             assert ratio_value(values, gen) == num / m0
         if found >= 3:
             break
@@ -175,6 +171,17 @@ def test_degenerate_single_block():
         assert ratio_value(values, gen) == pt.matrix.rows[i - 1][j - 1]
 
 
+@pytest.mark.parametrize("shape", [O5, SP8, make_shape("o", 9, (2, 2, 1, 2, 2))], ids=["o5", "sp8", "o9"])
+def test_eval_generator_takes_the_ratio_minors(shape):
+    # a ratio generator is its augmented minor M(i,j), evaluated like any other minor
+    system = build_system(shape)
+    for t in range(3):
+        x = sample_group_point(shape, Rng(67, t), 5).matrix
+        values = named_values(system, x)
+        for gen in system.ratios:
+            assert eval_generator(gen, x) == values[f"M({gen.pair.i},{gen.pair.j})"]
+
+
 @pytest.mark.parametrize("shape", [SP8, O5], ids=["sp8", "o5"])
 def test_ratio_derivatives_match_interpolation_oracle(shape):
     system = build_system(shape)
@@ -184,12 +191,17 @@ def test_ratio_derivatives_match_interpolation_oracle(shape):
         for m in (sample_group_point(shape, Rng(65, t), 4).matrix for t in range(20))
         if minor_cofactor(m, m0.rows, m0.cols) != 0
     )
-    rng = Rng(66)
-    b = Matrix([[rng.randint(-4, 4) for _ in range(shape.n)] for _ in range(shape.n)])
-    # the gradients are taken at the integer numerator X of x = X / d
+    # the rows are taken at the integer numerator X of x = X / d, in the directions X A
     big = Matrix(x.num)
-    exact = verification._gradients(system.ratios, big.num)
-    residues = verification._gradients(system.ratios, [[v % P for v in row] for row in big.num], P)
+    rng = Rng(66)
+    basis = dense_lie_basis(shape, "group")
+    coeffs = [rng.randint(-4, 4) for _ in basis]
+    a = Matrix.zeros(shape.n, shape.n)
+    for c, element in zip(coeffs, basis):
+        a = a + element * c
+    b = big @ a
+    rows = verification._gamma0_rows(shape, big.num)
+    assert len(rows) == len(system.ratios)
 
     def value_and_derivative(recipe):
         # a k x k minor of X + t b is a polynomial of degree k in t
@@ -197,13 +209,12 @@ def test_ratio_derivatives_match_interpolation_oracle(shape):
         vals = [minor_cofactor(big + b * u, recipe.rows, recipe.cols) for u in nodes]
         return vals[0], derivative_at_zero(nodes, vals)
 
-    for gen, h, h_mod_p in zip(system.ratios, exact, residues):
-        num, d_num = value_and_derivative(gen.recipe.numerator)
-        den, d_den = value_and_derivative(gen.recipe.denominator)
+    den, d_den = value_and_derivative(m0)
+    for gen, row in zip(system.ratios, rows):
+        num, d_num = value_and_derivative(gen.recipe)
         want = (d_num * den - num * d_den) / (den * den)  # the quotient rule
-        scale = den * den  # a ratio's gradient carries the factor D^2
-        assert trace_pairing(h, b.num) == scale * want
-        assert trace_pairing(h_mod_p, b.num) % P == fraction_mod_p(scale * want)
+        # a ratio's row carries the factor M0(X)^2
+        assert sum(c * v for c, v in zip(coeffs, row)) == den * den * want
 
 
 LADDER = [

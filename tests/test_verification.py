@@ -6,9 +6,9 @@ import pytest
 
 from parinv import linalg, verification
 from parinv.cli import ACCEPTANCE_SHAPES
-from parinv.generators_gl import Generator, MinorRecipe, StackedRecipe
+from parinv.generators_gl import Generator, MinorRecipe
 from parinv.generators_osp import build_system, eval_family
-from parinv.linalg import P, Matrix, det, minor
+from parinv.linalg import P, Matrix, det
 from parinv.sampling import Rng, sample_group_point
 from parinv.shapes import index_set, make_shape
 from parinv.verification import (
@@ -139,12 +139,8 @@ def _label(shape):
 
 def _row_scale(recipe, x: Matrix) -> Fraction:
     """The factor c_g of a generator's Jacobian row at x: 1 for a minor,
-    det x for a stacked generator, D(x)^2 for a ratio N / D."""
-    if isinstance(recipe, MinorRecipe):
-        return Fraction(1)
-    if isinstance(recipe, StackedRecipe):
-        return det(x)
-    return minor(x, recipe.denominator.rows, recipe.denominator.cols) ** 2
+    det x for a stacked generator."""
+    return Fraction(1) if isinstance(recipe, MinorRecipe) else det(x)
 
 
 def _assert_rows_match_forward_mode(shape, x, exact=True):
@@ -417,6 +413,24 @@ def test_independence_builds_the_ratio_rows_once_per_point(shape, monkeypatch):
     result = check_independence(shape, seed=1, bound=10)
     assert result.passed and result.details["points"] == 3
     assert [call for call in passed if call[0]] == [(len(ratios), None)] * 3
+
+
+def test_gamma0_rows_take_one_determinant_per_minor(monkeypatch):
+    # M0 and each M(i,j) are evaluated once per build, not once per entry of a row
+    shape = make_shape("sp", 8, (1, 2, 2, 2, 1))
+    dets = []
+    real = verification.det_rows
+
+    def spy(rows, p=None):
+        dets.append(len(rows))
+        return real(rows, p)
+
+    monkeypatch.setattr(verification, "det_rows", spy)
+    x = sample_group_point(shape, Rng(85), 10).matrix
+    rows = verification._gamma0_rows(shape, x.num)
+    system = build_system(shape)
+    assert len(rows) == len(system.ratios) == 4
+    assert dets == [len(system.m0.rows)] + [len(g.recipe.rows) for g in system.ratios]
 
 
 @pytest.mark.parametrize("trials", [0, -1, (1 << 20) + 1])
