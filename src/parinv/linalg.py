@@ -11,19 +11,23 @@ is the common-denominator form of rational matrices (FLINT's
 ``fmpq_mat`` to ``fmpz_mat``).
 
 Every determinant, adjugate, inverse and rank is read off one
-fraction-free Bareiss Gauss-Jordan elimination (``_bareiss``) of integer
-rows with one optional prime modulus: ``p=None`` is exact, ``p=P`` works
-on residues.  Over Q the kernels read the canonical numerator rows and
-scale by powers of the one denominator: det(X / d) = det X / d^n and
-adj(X / d) = adj X / d^(n-1).  A regular matrix's adjugate and inverse come
-from eliminating [X | E]; a singular one's adjugate falls back to signed
-cofactors.  ``det_rows``, ``adjugate_rows`` and ``matmul_rows`` are the
-integer-row kernels, with the same optional modulus: generator values
-are determinants of integer numerator rows, and the tangent Jacobians
-are built on the same rows.  ``bordered_minors`` logs the pivot-column
-entries of the same elimination before any row swap, which are minors
-of the input (Sylvester's identity), so one elimination gives a whole
-nested chain of generator values.
+Gauss-Jordan elimination loop (``_bareiss``) of integer rows with one
+optional prime modulus.  With ``p=None`` it is exact fraction-free
+Bareiss.  With ``p=P`` it works on residues as normalised Gauss-Jordan:
+each pivot row is scaled to a leading 1, rows with a zero in the pivot
+column are skipped, and the "last pivot" is the product of the pivots,
+so the residue adjugate is det times the inverse.  Over Q the kernels
+read the canonical numerator rows and scale by powers of the one
+denominator: det(X / d) = det X / d^n and adj(X / d) = adj X / d^(n-1).
+A regular matrix's adjugate and inverse come from eliminating [X | E];
+a singular one's adjugate falls back to signed cofactors.  ``det_rows``,
+``adjugate_rows`` and ``matmul_rows`` are the integer-row kernels, with
+the same optional modulus: generator values are determinants of integer
+numerator rows, and the tangent Jacobians are built on the same rows.
+``bordered_minors`` logs the pivot-column entries of the exact
+elimination before any row swap, which are minors of the input
+(Sylvester's identity), so one elimination gives a whole nested chain
+of generator values.
 
 A rank does not change when the matrix or a row is multiplied by a
 nonzero number, so ``rank`` works on the numerator rows alone.  Ranks
@@ -234,20 +238,25 @@ class Matrix:
 
 def _bareiss(a: list[list[int]], ncols: int, upward: bool, p: int | None = None,
              log: list[list[int]] | None = None):
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+    """Gauss-Jordan elimination of integer rows, in place.
 
     The pivot of each of the first ``ncols`` columns is its first nonzero
     entry at or below the current row, swapped into place; a column
     without one is skipped.  Each step updates every row below the pivot
-    row (with ``upward``, every row above it too).  Every entry stays a
-    minor of the input (Bareiss 1968; Nakos-Turner-Williams 1997 for the
-    upward steps and skipped columns), so the division by the previous
-    pivot is exact, and with ``upward`` every pivot row ends up carrying
-    the last pivot.  With a prime ``p`` the arithmetic is mod p and the
-    division is a multiplication by the inverse.  With a list ``log``,
-    each step appends the pivot-column entries of the current row and
-    the rows below it, taken before any swap.  Returns (pivot columns,
-    sign of the row permutation, last pivot).
+    row (with ``upward``, every row above it too).  Exact (``p=None``),
+    it is fraction-free Bareiss: every row is rescaled, and every entry
+    stays a minor of the input (Bareiss 1968; Nakos-Turner-Williams 1997
+    for the upward steps and skipped columns), so the division by the
+    previous pivot is exact, and with ``upward`` every pivot row ends up
+    carrying the last pivot.  With a prime ``p`` (residue rows) it is
+    normalised Gauss-Jordan mod p: the pivot row is scaled to a leading 1,
+    a row with a zero in the pivot column is skipped, and the other rows
+    take one multiplication per entry; the "last pivot" is then the
+    product of the pivots.  Either way the last pivot of a full-rank
+    square input is the determinant of the row-permuted input.  With a
+    list ``log`` (exact only), each step appends the pivot-column entries
+    of the current row and the rows below it, taken before any swap.
+    Returns (pivot columns, sign of the row permutation, last pivot).
     """
     nrows = len(a)
     pivots: list[int] = []
@@ -266,29 +275,36 @@ def _bareiss(a: list[list[int]], ncols: int, upward: bool, p: int | None = None,
             sign = -sign
         row = a[r]
         piv = row[c]
-        if p is not None:
-            inv = pow(prev, -1, p)
-            g = piv * inv % p
-        # every row is rescaled, a zero in the pivot column included: the
-        # next exact division relies on it
-        for i in range(0 if upward else r + 1, nrows):
-            if i == r:
-                continue
-            x = a[i]
-            f = x[c]
-            lo = c if i > r else 0  # rows below are zero left of the pivot
-            if p is None:
+        if p is None:
+            # every row is rescaled, a zero in the pivot column included: the
+            # next exact division relies on it
+            for i in range(0 if upward else r + 1, nrows):
+                if i == r:
+                    continue
+                x = a[i]
+                f = x[c]
+                lo = c if i > r else 0  # rows below are zero left of the pivot
                 x[lo:] = [(y * piv - f * z) // prev for y, z in zip(x[lo:], row[lo:])]
-            else:
-                h = f * inv % p
-                x[lo:] = [(y * g - h * z) % p for y, z in zip(x[lo:], row[lo:])]
+            prev = piv
+        else:
+            # the pivot row, zero left of c, is scaled to a leading 1; a row
+            # with a zero in the pivot column is left as it is
+            inv = pow(piv, -1, p)
+            row[c:] = tail = [z * inv % p for z in row[c:]]
+            for i in range(0 if upward else r + 1, nrows):
+                x = a[i]
+                f = x[c]
+                if f and i != r:
+                    x[c:] = [(y - f * z) % p for y, z in zip(x[c:], tail)]
+            prev = prev * piv % p
         pivots.append(c)
-        prev = piv
     return pivots, sign, prev
 
 
 def det_rows(a: list[list[int]], p: int | None = None) -> int:
     """Determinant of square integer rows (consumed), mod p when given."""
+    if p is not None:
+        a = [[x % p for x in row] for row in a]
     pivots, sign, last = _bareiss(a, len(a), False, p)
     if len(pivots) < len(a):
         return 0
@@ -323,6 +339,8 @@ def _inverse_rows(a: Sequence[Sequence[int]], p: int | None = None):
     pivots, sign, last = _bareiss(aug, n, True, p)
     if len(pivots) < n:
         return None
+    if p is not None:  # the right half is a^-1 itself
+        return sign, last, [[x * last % p for x in row[n:]] for row in aug]
     return sign, last, [row[n:] for row in aug]
 
 

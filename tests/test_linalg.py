@@ -12,6 +12,7 @@ from parinv.linalg import (
     adjugate_rows,
     bordered_minors,
     det,
+    det_rows,
     inverse,
     matmul_rows,
     matrix_from_json,
@@ -24,6 +25,7 @@ from parinv.sampling import Rng, sample_group_point
 from parinv.shapes import make_shape
 
 from oracles import (
+    _gauss_jordan_mod_p,
     adjugate_cofactor,
     det_cofactor,
     fraction_mod_p,
@@ -253,6 +255,22 @@ def test_rank_without_residue_certificate():
     assert rank(m) == rank_cofactor(m) == 2
 
 
+def _assert_residue_square_kernels(a):
+    """det_rows and adjugate_rows mod P of square integer rows (left unchanged) equal
+    the exact results reduced mod P and the plain mod-P Gauss-Jordan oracle."""
+    exact_det, adj = det_rows([list(r) for r in a]), adjugate_rows(a)
+    oracle_det, oracle_inv = _gauss_jordan_mod_p(a)
+    assert det_rows([list(r) for r in a], P) == exact_det % P == oracle_det
+    residue_adj = adjugate_rows(a, P)
+    assert residue_adj == [[x % P for x in row] for row in adj]
+    if oracle_inv is not None:  # regular mod P: the adjugate is det times the inverse
+        assert residue_adj == [[oracle_det * x % P for x in row] for row in oracle_inv]
+
+
+def _sparse_int(rng):
+    return rng.randint(-3, 3) if rng.randint(0, 2) == 0 else 0
+
+
 def test_residue_kernel_matches_reduced_exact_results():
     rng = Rng(21)
     singular_seen = 0
@@ -265,9 +283,8 @@ def test_residue_kernel_matches_reduced_exact_results():
             m = Matrix(rows)
         a = [list(r) for r in m.num]
         singular_seen += det(m) == 0
-        adj = adjugate_rows(a)
-        assert Matrix(adj) == adjugate(m)
-        assert adjugate_rows(a, P) == [[x % P for x in row] for row in adj]
+        _assert_residue_square_kernels(a)
+        assert Matrix(adjugate_rows(a)) == adjugate(m)
         assert adjugate_rows([[x + P * rng.randint(-2, 2) for x in row] for row in a], P) == adjugate_rows(a, P)
         assert a == [list(r) for r in m.num]  # the input is left as it was
         assert rank_mod_p(a) == rank(m)
@@ -292,6 +309,40 @@ def test_residue_kernel_matches_reduced_exact_results():
             ]
     assert adjugate_rows([[0]], P) == [[1]] and adjugate_rows([[0]]) == [[1]]
     assert adjugate_rows([], P) == [] and rank_mod_p([]) == 0
+    # zeros in the pivot column below the pivot and, for the upward steps of
+    # the adjugate, above it; row swaps at the first and at a later step; a
+    # column without a pivot; an entry P, which is 0 mod P, atop a column
+    for a in (
+        [[2, 0, 1], [0, 3, 0], [4, 0, 5]],
+        [[0, 1, 2], [3, 4, 5], [6, 7, 9]],
+        [[1, 2, 3], [2, 4, 7], [5, 1, 0]],
+        [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+        [[1, 2, 3], [2, 4, 6], [0, 0, 1]],
+        [[P, 1], [1, 0]],
+    ):
+        _assert_residue_square_kernels(a)
+        assert rank_mod_p(a) == rank(Matrix(a))
+    for _ in range(40):  # mostly zero, so rows are skipped and swapped at every step
+        n = rng.randint(2, 6)
+        a = [[_sparse_int(rng) for _ in range(n)] for _ in range(n)]
+        _assert_residue_square_kernels(a)
+        assert rank_mod_p(a) == rank(Matrix(a))
+    # regular over Q but singular mod P (a row of multiples of P, or det = P):
+    # the residue adjugate is the signed cofactors of the residues
+    for a in ([[P, 2 * P], [1, 3]], [[1, 2, 3], [4 * P, 5 * P, 7 * P], [2, 9, 4]], [[P + 1, 1], [1, 1]]):
+        assert det_rows([list(r) for r in a]) % P == 0 != det_rows([list(r) for r in a])
+        _assert_residue_square_kernels(a)
+        assert rank_mod_p(a) < rank(Matrix(a)) == len(a)
+    # wide and tall residue ranks with a planted rank deficiency, against the
+    # exact rank and the rational nullspace
+    for nrows, ncols in ((12, 20), (20, 12), (7, 15), (15, 7), (12, 12), (1, 20), (20, 1)):
+        r = rng.randint(0, min(nrows, ncols) - 1)
+        a = [[0] * ncols for _ in range(nrows)]
+        if r:
+            left = [[_sparse_int(rng) for _ in range(r)] for _ in range(nrows)]
+            a = matmul_rows(left, [[_sparse_int(rng) for _ in range(ncols)] for _ in range(r)])
+        m = Matrix(a)
+        assert rank_mod_p(a) == rank(m) == ncols - len(nullspace_basis(m)) <= r
 
 
 def test_matmul_rows_matches_matrix_product():

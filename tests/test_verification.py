@@ -45,6 +45,8 @@ GL5 = make_shape("gl", 5, (1, 2, 2))
 SL5 = make_shape("sl", 5, (1, 2, 2))
 SP4 = make_shape("sp", 4, (1, 2, 1))
 O5 = make_shape("o", 5, (1, 3, 1))
+# the benchmark's ladder shapes: big-entry Jacobians at n = 8 to 12
+LADDER_SHAPES = (("gl", 8, (2, 3, 3)), ("gl", 10, (2, 3, 5)), ("o", 9, (2, 2, 1, 2, 2)), ("sp", 12, (2, 2, 4, 2, 2)))
 
 
 def _spy_exact_rank(monkeypatch) -> list[tuple[int, int]]:
@@ -98,7 +100,7 @@ def _generic_point(shape, seed=21):
     raise AssertionError("no generic point found")
 
 
-@pytest.mark.parametrize("kind,n,parts", ACCEPTANCE_SHAPES)
+@pytest.mark.parametrize("kind,n,parts", ACCEPTANCE_SHAPES + LADDER_SHAPES)
 def test_certified_ranks_equal_exact_only_ranks(kind, n, parts, monkeypatch):
     shape = make_shape(kind, n, parts)
     x = _generic_point(shape)
@@ -172,10 +174,7 @@ def test_tangent_jacobian_equals_forward_mode_on_small_shapes(shape):
         _assert_rows_match_forward_mode(shape, x)
 
 
-@pytest.mark.parametrize(
-    "kind,n,parts",
-    [("gl", 8, (2, 3, 3)), ("gl", 10, (2, 3, 5)), ("o", 9, (2, 2, 1, 2, 2)), ("sp", 12, (2, 2, 4, 2, 2))],
-)
+@pytest.mark.parametrize("kind,n,parts", LADDER_SHAPES)
 def test_tangent_jacobian_equals_forward_mode_on_ladder_shapes(kind, n, parts):
     shape = make_shape(kind, n, parts)
     x = sample_group_point(shape, Rng(82), 10).matrix
