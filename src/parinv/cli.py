@@ -11,7 +11,7 @@ import sys
 from .generators_gl import Generator, descriptor_to_json, ratio_to_json
 from .generators_osp import build_system, eval_family
 from .linalg import matrix_from_json, matrix_to_json
-from .sampling import GroupPoint, GroupMembershipError, Rng, defining_equation_holds, sample_group_point, sample_slice, sample_unipotent_radical
+from .sampling import Rng, defining_equation_holds, sample_group_point, sample_slice, sample_unipotent_radical
 from .shapes import FlagShape, GroupKind, ShapeError, dim_unipotent_radical, make_shape
 from .verification import orbit_dimension, run_suite
 
@@ -38,34 +38,17 @@ def _parse_parts(text: str) -> tuple[int, ...]:
         raise UsageError(f"cannot parse composition {text!r}; expected e.g. 1,2,2") from None
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_in(lo: int, hi: int | None = None):
+    """Argument type of an integer in the closed range [lo, hi], unbounded above without hi."""
+    def int_in_range(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(f"must be in [{lo}, {'inf' if hi is None else hi}], got {value}")
+        return value
+    return int_in_range
 
 
-def _bound(text: str) -> int:
-    """A sample bound B in [1, 2^63): the draws from [-B, B] then fit one 64-bit step."""
-    value = int(text)
-    if not 1 <= value < 1 << 63:
-        raise argparse.ArgumentTypeError(f"must be in [1, 2^63), got {value}")
-    return value
-
-
-def _check_trials(text: str) -> int:
-    """Trials of verify and selftest: each check's stream slice holds 2^20 of them."""
-    value = int(text)
-    if not 1 <= value <= 1 << 20:
-        raise argparse.ArgumentTypeError(f"must be in [1, 2^20], got {value}")
-    return value
-
-
-def _u64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 1 << 64:
-        raise argparse.ArgumentTypeError(f"must be in [0, 2^64), got {value}")
-    return value
+_CHECK_TRIALS = _int_in(1, 1 << 20)  # each check's stream slice holds 2^20 trials
 
 
 def _shape_from_args(args) -> FlagShape:
@@ -150,7 +133,7 @@ def _cmd_orbit_dim(args) -> int:
     dims = []
     for t in range(args.points):
         rng = Rng(args.seed, stream=t)
-        x = sample_group_point(shape, rng, args.bound).matrix
+        x = sample_group_point(shape, rng, args.bound)
         dims.append(orbit_dimension(shape, x))
     lines: list[str] = []
     _emit({"orbit_dims": dims, "dim_u": dim_unipotent_radical(shape), "points": args.points}, lines)
@@ -174,10 +157,10 @@ def _cmd_sample(args) -> int:
     for t in range(args.trials):
         rng = Rng(args.seed, stream=t)
         try:
-            point: GroupPoint = sampler(shape, rng, args.bound)
+            point = sampler(shape, rng, args.bound)
         except ShapeError as exc:
             raise UsageError(str(exc)) from None
-        _emit(matrix_to_json(point.matrix), lines)
+        _emit(matrix_to_json(point), lines)
     _write_out(args, lines)
     return 0
 
@@ -222,8 +205,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int)
             p.add_argument("--parts", type=str, help="comma-separated composition, e.g. 1,2,2")
         if sampled:
-            p.add_argument("--seed", type=_u64, default=1)
-            p.add_argument("--bound", type=_bound, default=10)
+            p.add_argument("--seed", type=_int_in(0, (1 << 64) - 1), default=1)
+            # draws from [-bound, bound] must fit one 64-bit step
+            p.add_argument("--bound", type=_int_in(1, (1 << 63) - 1), default=10)
         p.add_argument("--out", type=str, default=None)
         return p
 
@@ -232,20 +216,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "--matrix", type=str, help="JSON matrix file (array of arrays of strings)"
     )
     p_verify = add_command("verify", "run the verification suite")
-    p_verify.add_argument("--trials", type=_check_trials, default=100)
+    p_verify.add_argument("--trials", type=_CHECK_TRIALS, default=100)
     p_verify.add_argument(
         "--inject-mutation",
         action="store_true",
         help="debug: also assert invariance of a known-broken descriptor (must fail)",
     )
     add_command("orbit-dim", "orbit dimensions at sampled points").add_argument(
-        "--points", type=_positive_int, default=3
+        "--points", type=_int_in(1), default=3
     )
     p_sample = add_command("sample", "emit sampled matrices as JSON lines")
-    p_sample.add_argument("--trials", type=_positive_int, default=100)
+    p_sample.add_argument("--trials", type=_int_in(1), default=100)
     p_sample.add_argument("--what", choices=sorted(_SAMPLERS), default="group")
     add_command("selftest", "verify all reference shapes", shape=False).add_argument(
-        "--trials", type=_check_trials, default=25
+        "--trials", type=_CHECK_TRIALS, default=25
     )
     return parser
 
@@ -263,7 +247,7 @@ def main(argv=None) -> int:
     }
     try:
         return commands[args.command](args)
-    except (UsageError, ShapeError, GroupMembershipError) as exc:
+    except (UsageError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

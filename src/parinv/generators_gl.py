@@ -1,11 +1,12 @@
 """Determinantal generator systems for the general/special linear kinds.
 
-Each index pair carries a purely combinatorial recipe.  Pairs on or above
-the anti-diagonal get a plain minor of X (row i first, then the trailing
-segment, columns 1..j); pairs strictly below get the determinant of a
-stacked matrix whose top rows come from X and bottom rows from the
-adjugate X*, all restricted to columns 1..j.  Row and column lists are
-evaluated in the exact order stored, which fixes every sign.
+Each index pair carries a purely combinatorial ``Recipe``: the
+determinant of some rows of X stacked over some rows of the adjugate X*,
+restricted to columns 1..j.  Pairs on or above the anti-diagonal get a
+plain minor of X, a recipe with no X* rows (row i first, then the
+trailing segment); pairs strictly below take rows of both.  Row and
+column lists are evaluated in the exact order stored, which fixes every
+sign.
 
 A value is read on integer numerators: ``recipe_rows`` picks the
 recipe's square integer rows out of the numerator rows of X (and of X*),
@@ -36,29 +37,18 @@ def _check_indices(**lists: tuple[int, ...]):
 
 
 @dataclass(frozen=True)
-class MinorRecipe:
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
+class Recipe:
+    """The determinant of the rows x_rows of X, then adj_rows of X*, against cols;
+    a minor of X has no adj_rows."""
 
-    def __post_init__(self):
-        if len(self.rows) != len(self.cols):
-            raise ShapeError("minor recipe needs equally many rows and columns")
-        _check_indices(rows=self.rows, cols=self.cols)
-
-
-@dataclass(frozen=True)
-class StackedRecipe:
     x_rows: tuple[int, ...]
     adj_rows: tuple[int, ...]
     cols: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.x_rows) + len(self.adj_rows) != len(self.cols):
-            raise ShapeError("stacked recipe needs |x_rows| + |adj_rows| = |cols|")
+            raise ShapeError("recipe needs |x_rows| + |adj_rows| = |cols|")
         _check_indices(x_rows=self.x_rows, adj_rows=self.adj_rows, cols=self.cols)
-
-
-Recipe = MinorRecipe | StackedRecipe
 
 
 @dataclass(frozen=True)
@@ -80,38 +70,36 @@ def build_generators(shape: FlagShape) -> tuple[Generator, ...]:
         cols = tuple(range(1, j + 1))
         if i + j <= n + 1:
             rows = (i,) + tuple(range(n + 1 - j + 1, n + 1))
-            out.append(Generator(pair, MinorRecipe(rows, cols)))
+            out.append(Generator(pair, Recipe(rows, (), cols)))
         else:
             i_mirror = n + 1 - i
             x_rows = tuple(range(n - i_mirror + 1, n + 1))
             adj_rows = tuple(range(n - (j - i_mirror) + 1, n + 1))
-            out.append(Generator(pair, StackedRecipe(x_rows, adj_rows, cols)))
+            out.append(Generator(pair, Recipe(x_rows, adj_rows, cols)))
     return tuple(out)
 
 
 def recipe_rows(recipe: Recipe, x, adj=None) -> list[list[int]]:
-    """Fresh square rows of the recipe's matrix: the rows of x, then (stacked
-    only) the rows of adj, restricted to the recipe's columns, all 1-based
-    and in the stored order.  An index past the size of x raises IndexError.
+    """Fresh square rows of the recipe's matrix: the rows of x, then those of
+    adj (needed only with adj_rows), restricted to the recipe's columns, all
+    1-based and in the stored order.  An index past the size of x raises IndexError.
     """
     cols = [c - 1 for c in recipe.cols]
-    if isinstance(recipe, MinorRecipe):
-        return [[x[r - 1][c] for c in cols] for r in recipe.rows]
     return ([[x[r - 1][c] for c in cols] for r in recipe.x_rows]
             + [[adj[r - 1][c] for c in cols] for r in recipe.adj_rows])
 
 
 def eval_generator(gen: Generator, point: Matrix, adj: Matrix | None = None) -> Fraction:
     """Exact value of a generator at the point: the determinant of
-    the recipe's numerator rows over the denominators of the rows taken; pass adj
-    to reuse the adjugate."""
+    the recipe's numerator rows over the denominators of the rows taken; the
+    adjugate is taken only for adj_rows, and pass adj to reuse it."""
     recipe = gen.recipe
-    if isinstance(recipe, MinorRecipe):
-        return Fraction(det_rows(recipe_rows(recipe, point.num)), point.den ** len(recipe.rows))
-    if adj is None:
-        adj = adjugate(point)
-    rows = recipe_rows(recipe, point.num, adj.num)
-    return Fraction(det_rows(rows), point.den ** len(recipe.x_rows) * adj.den ** len(recipe.adj_rows))
+    scale = point.den ** len(recipe.x_rows)
+    adj_num = None
+    if recipe.adj_rows:
+        adj = adjugate(point) if adj is None else adj
+        adj_num, scale = adj.num, scale * adj.den ** len(recipe.adj_rows)
+    return Fraction(det_rows(recipe_rows(recipe, point.num, adj_num)), scale)
 
 
 def nonvanishing_witness(shape: FlagShape, pair: IndexPair) -> Matrix:
@@ -171,32 +159,21 @@ def s0_monomial_value(sign: int, pair: IndexPair, point: Matrix) -> Fraction:
     return Fraction(value, point.den ** j)
 
 
-def _minor_json(recipe: MinorRecipe) -> dict:
+def _recipe_json(recipe: Recipe) -> dict:
     return {
-        "kind": "minor",
-        "x_rows": list(recipe.rows),
-        "adj_rows": [],
+        "kind": "stacked" if recipe.adj_rows else "minor",
+        "x_rows": list(recipe.x_rows),
+        "adj_rows": list(recipe.adj_rows),
         "cols": list(recipe.cols),
     }
 
 
 def descriptor_to_json(gen: Generator) -> dict:
     """Stable JSON form of a generator descriptor."""
-    out: dict = {"pair": list(gen.pair) if gen.pair is not None else None}
-    recipe = gen.recipe
-    if isinstance(recipe, MinorRecipe):
-        out.update(_minor_json(recipe))
-    else:
-        out.update(
-            kind="stacked",
-            x_rows=list(recipe.x_rows),
-            adj_rows=list(recipe.adj_rows),
-            cols=list(recipe.cols),
-        )
-    return out
+    return {"pair": list(gen.pair) if gen.pair is not None else None, **_recipe_json(gen.recipe)}
 
 
-def ratio_to_json(gen: Generator, m0: MinorRecipe) -> dict:
+def ratio_to_json(gen: Generator, m0: Recipe) -> dict:
     """Stable JSON form of the central ratio M(i,j) / M0, gen being the minor M(i,j)."""
-    return {"pair": list(gen.pair), "kind": "ratio", "numerator": _minor_json(gen.recipe),
-            "denominator": _minor_json(m0)}
+    return {"pair": list(gen.pair), "kind": "ratio", "numerator": _recipe_json(gen.recipe),
+            "denominator": _recipe_json(m0)}

@@ -23,14 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import Matrix, adjugate, bordered_minors
-from .generators_gl import (
-    Generator,
-    MinorRecipe,
-    Recipe,
-    StackedRecipe,
-    build_generators,
-    eval_generator,
-)
+from .generators_gl import Generator, Recipe, build_generators, eval_generator
 from .shapes import FlagShape, GroupKind, index_set
 
 
@@ -39,7 +32,7 @@ class GeneratorSystem:
     """J, the corner minor M0, and the augmented minors M_ij of the ratios M_ij / M0."""
 
     j: tuple[Generator, ...]
-    m0: MinorRecipe | None
+    m0: Recipe | None
     ratios: tuple[Generator, ...]
 
     def family(self) -> list[tuple[str, Generator]]:
@@ -51,14 +44,14 @@ class GeneratorSystem:
         return out
 
 
-def corner_minor_recipe(shape: FlagShape) -> MinorRecipe | None:
+def corner_minor_recipe(shape: FlagShape) -> Recipe | None:
     """M_0: rows of I_{ell0+2} .. I_ell against columns of I_1 .. I_ell0."""
     if shape.ell % 2 == 0:
         return None
     segs = shape.segments
     rows = tuple(i for seg in segs[shape.ell0 + 1:] for i in seg)  # skips the central segment
     cols = tuple(j for seg in segs[: shape.ell0] for j in seg)
-    return MinorRecipe(rows, cols)
+    return Recipe(rows, (), cols)
 
 
 @lru_cache(maxsize=None)
@@ -73,8 +66,8 @@ def build_system(shape: FlagShape) -> GeneratorSystem:
     ratios: tuple[Generator, ...] = ()
     if m0 is not None:
         ratios = tuple(
-            Generator(pair, MinorRecipe(tuple(sorted(m0.rows + (pair.i,))),
-                                        tuple(sorted(m0.cols + (pair.j,)))))
+            Generator(pair, Recipe(tuple(sorted(m0.x_rows + (pair.i,))), (),
+                                   tuple(sorted(m0.cols + (pair.j,)))))
             for pair in idx.gamma0
         )
     return GeneratorSystem(j, m0, ratios)
@@ -88,30 +81,23 @@ def _chain_slot(recipe: Recipe, n: int):
     rows of X* from n down.  A minor on rows (i, n-j+2, ..., n) and
     columns 1..j is on chain n: its bordered minor at step j - 1 with x_i
     as the border row, n + 1 - j - i rows below the pivot row.  A stacked
-    recipe on x_rows (n+1-m, ..., n), adj_rows (n+1-a, ..., n) and
-    columns 1..m+a is on chain m: its leading minor at step m + a - 1.
+    recipe on x_rows (n+1-m, ..., n), adj_rows (n+1-a, ..., n) with a >= 1
+    and columns 1..m+a is on chain m: its leading minor at step m + a - 1.
+    A minor is only ever read on chain n, though a trailing-row one would
+    also fit the stacked pattern with a = 0.
     The chains list each run of rows in reverse, which is a sign of
     (-1)^(k(k-1)/2) per run of k rows.
     """
-    if isinstance(recipe, MinorRecipe):
-        j = len(recipe.cols)
-        i = recipe.rows[0] if j else 0
-        if (
-            1 <= i <= n + 1 - j
-            and recipe.rows[1:] == tuple(range(n - j + 2, n + 1))
-            and recipe.cols == tuple(range(1, j + 1))
-        ):
+    x_rows, adj_rows, cols = recipe.x_rows, recipe.adj_rows, recipe.cols
+    j, m, a = len(cols), len(x_rows), len(adj_rows)
+    if not m or cols != tuple(range(1, j + 1)):
+        return None
+    if not adj_rows:
+        i = x_rows[0]
+        if i <= n + 1 - j and x_rows[1:] == tuple(range(n - j + 2, n + 1)):
             return n, j - 1, n + 1 - j - i, (-1) ** (j * (j - 1) // 2), j, 0
-    elif isinstance(recipe, StackedRecipe):
-        m, a = len(recipe.x_rows), len(recipe.adj_rows)
-        if (
-            1 <= m
-            and m + a <= n
-            and recipe.x_rows == tuple(range(n + 1 - m, n + 1))
-            and recipe.adj_rows == tuple(range(n + 1 - a, n + 1))
-            and recipe.cols == tuple(range(1, m + a + 1))
-        ):
-            return m, m + a - 1, 0, (-1) ** (m * (m - 1) // 2 + a * (a - 1) // 2), m, a
+    elif j <= n and x_rows == tuple(range(n + 1 - m, n + 1)) and adj_rows == tuple(range(n + 1 - a, n + 1)):
+        return m, j - 1, 0, (-1) ** (m * (m - 1) // 2 + a * (a - 1) // 2), m, a
     return None
 
 
@@ -121,8 +107,8 @@ def _chain_plan(recipes: tuple[Recipe, ...], n: int):
 
     Returns (chains, slots, needs_adj): each chain is (key, rows of X,
     rows of X*, columns), the fewest that cover its slots; a slot is
-    ``_chain_slot`` of its recipe; the adjugate is needed by any stacked
-    recipe, read off a chain or not.
+    ``_chain_slot`` of its recipe; the adjugate is needed by any recipe
+    with adj rows, read off a chain or not.
     """
     slots = tuple(_chain_slot(recipe, n) for recipe in recipes)
     need: dict[int, tuple[int, int]] = {}  # chain -> (rows, columns)
@@ -132,7 +118,7 @@ def _chain_plan(recipes: tuple[Recipe, ...], n: int):
     chains = tuple(
         (key, min(rows, key), rows - min(rows, key), cols) for key, (rows, cols) in sorted(need.items())
     )
-    needs_adj = any(isinstance(recipe, StackedRecipe) for recipe in recipes)
+    needs_adj = any(recipe.adj_rows for recipe in recipes)
     return chains, slots, needs_adj
 
 

@@ -344,8 +344,11 @@ def _inverse_rows(a: Sequence[Sequence[int]], p: int | None = None):
     return sign, last, [row[n:] for row in aug]
 
 
-def _adjugate_rows(a: Sequence[Sequence[int]], p: int | None = None) -> list[list[int]]:
-    """Adjugate of square integer rows (reduced mod p when given); signed cofactors if singular."""
+def adjugate_rows(a: Sequence[Sequence[int]], p: int | None = None) -> list[list[int]]:
+    """Adjugate of square integer rows (left unchanged), mod the prime p when given;
+    signed cofactors if singular."""
+    if p is not None:
+        a = [[x % p for x in row] for row in a]
     solved = _inverse_rows(a, p)
     if solved is not None:
         sign, _, right = solved
@@ -360,11 +363,6 @@ def _adjugate_rows(a: Sequence[Sequence[int]], p: int | None = None) -> list[lis
             for r in range(n)
         ]
     return adj if p is None else [[x % p for x in row] for row in adj]
-
-
-def adjugate_rows(a: Sequence[Sequence[int]], p: int | None = None) -> list[list[int]]:
-    """Adjugate of square integer rows (left unchanged), mod the prime p when given."""
-    return _adjugate_rows(a if p is None else [[x % p for x in row] for row in a], p)
 
 
 def matmul_rows(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], p: int | None = None) -> list[list[int]]:
@@ -389,7 +387,7 @@ def adjugate(m: Matrix) -> Matrix:
     m._require_square()
     if not m.nrows:
         return m
-    return _make(_adjugate_rows(m.num), m.den ** (m.nrows - 1))
+    return _make(adjugate_rows(m.num), m.den ** (m.nrows - 1))
 
 
 def _check_index_lists(m: Matrix, row_list: Sequence[int], col_list: Sequence[int]):

@@ -25,7 +25,6 @@ the form F, the group slice S-circ = F p.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -43,10 +42,6 @@ class SamplingError(RuntimeError):
 
 class InternalConsistencyError(RuntimeError):
     """A constructed element failed its defining equation; this is a bug signal."""
-
-
-class GroupMembershipError(ValueError):
-    """Raised when a GroupPoint matrix fails its group's defining equations."""
 
 
 def _mix64(z: int) -> int:
@@ -134,22 +129,14 @@ def defining_equation_holds(kind: GroupKind, m: Matrix) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class GroupPoint:
-    """A matrix verified on construction to lie in its shape's group."""
-
-    shape: FlagShape
-    matrix: Matrix
-
-    def __post_init__(self):
-        if self.matrix.nrows != self.shape.n or self.matrix.ncols != self.shape.n:
-            raise GroupMembershipError(
-                f"matrix is {self.matrix.nrows}x{self.matrix.ncols}, shape needs {self.shape.n}"
-            )
-        if not defining_equation_holds(self.shape.kind, self.matrix):
-            raise GroupMembershipError(
-                f"matrix fails the defining equations of {self.shape.kind.value}({self.shape.n})"
-            )
+def _member(shape: FlagShape, m: Matrix, what: str) -> Matrix:
+    """m itself, after checking that it is an n x n element of the shape's group;
+    a sampler that built anything else has a bug."""
+    if m.nrows != shape.n or m.ncols != shape.n or not defining_equation_holds(shape.kind, m):
+        raise InternalConsistencyError(
+            f"{what} ({m.nrows}x{m.ncols}) fails the defining equations of {shape.kind.value}({shape.n})"
+        )
+    return m
 
 
 def swap_matrix(n: int) -> Matrix:
@@ -282,22 +269,20 @@ def _parabolic_element(shape: FlagShape, a: Matrix, a0: Matrix | None, b: Matrix
     )
 
 
-def sample_unipotent_radical(shape: FlagShape, rng: Rng, bound: int = 10) -> GroupPoint:
+def sample_unipotent_radical(shape: FlagShape, rng: Rng, bound: int = 10) -> Matrix:
     """Random element of the parabolic's unipotent radical."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if shape.kind in (GroupKind.GL, GroupKind.SL):
-        return GroupPoint(shape, _gl_unipotent(shape, rng, bound))
-    if shape.ell == 1:  # the parabolic is the whole group; U is trivial
-        return GroupPoint(shape, Matrix.identity(shape.n))
-    a = _gl_unipotent(_sub_parabolic_shape(shape), rng, bound)
-    b = _constrained_block(shape.N0, shape.kind, rng, bound)
-    v = _random_matrix(rng, shape.N0, shape.n0, bound) if shape.ell % 2 == 1 else None
-    g = _parabolic_element(shape, a, None, b, v)
-    try:
-        return GroupPoint(shape, g)
-    except GroupMembershipError as exc:
-        raise InternalConsistencyError("assembled radical element fails the form equation") from exc
+        u = _gl_unipotent(shape, rng, bound)
+    elif shape.ell == 1:  # the parabolic is the whole group; U is trivial
+        u = Matrix.identity(shape.n)
+    else:
+        a = _gl_unipotent(_sub_parabolic_shape(shape), rng, bound)
+        b = _constrained_block(shape.N0, shape.kind, rng, bound)
+        v = _random_matrix(rng, shape.N0, shape.n0, bound) if shape.ell % 2 == 1 else None
+        u = _parabolic_element(shape, a, None, b, v)
+    return _member(shape, u, "radical element")
 
 
 def _random_lie_element(shape: FlagShape, rng: Rng, bound: int) -> Matrix:
@@ -310,7 +295,7 @@ def _random_lie_element(shape: FlagShape, rng: Rng, bound: int) -> Matrix:
     return Matrix(total)
 
 
-def sample_group_point(shape: FlagShape, rng: Rng, bound: int = 10, second_component: bool = False) -> GroupPoint:
+def sample_group_point(shape: FlagShape, rng: Rng, bound: int = 10, second_component: bool = False) -> Matrix:
     """Random exact group element (Cayley transform for O/Sp)."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -318,20 +303,20 @@ def sample_group_point(shape: FlagShape, rng: Rng, bound: int = 10, second_compo
         raise ShapeError("only the orthogonal group has a second component")
     for _ in range(_MAX_ATTEMPTS):
         if shape.kind in (GroupKind.GL, GroupKind.SL):
-            m = _random_matrix(rng, shape.n, shape.n, bound)
-            d = det(m)
+            g = _random_matrix(rng, shape.n, shape.n, bound)
+            d = det(g)
             if d == 0:
                 continue
             if shape.kind is GroupKind.SL:
-                m = Matrix([[x / d for x in m.num[0]]] + list(m.num[1:]))
-            return GroupPoint(shape, m)
-        try:
-            g = cayley(_random_lie_element(shape, rng, bound))
-        except SingularMatrixError:
-            continue
-        if second_component:
-            g = g @ swap_matrix(shape.n)
-        return GroupPoint(shape, g)
+                g = Matrix([[x / d for x in g.num[0]]] + list(g.num[1:]))
+        else:
+            try:
+                g = cayley(_random_lie_element(shape, rng, bound))
+            except SingularMatrixError:
+                continue
+            if second_component:
+                g = g @ swap_matrix(shape.n)
+        return _member(shape, g, "group sample")
     raise SamplingError(f"no valid sample within {_MAX_ATTEMPTS} attempts")
 
 
@@ -376,24 +361,24 @@ def _osp_slice(shape: FlagShape, rng: Rng, bound: int) -> Matrix:
     in the order a, b, a0, v (F a0 for one part, where the parabolic is G_0)."""
     n0 = shape.n0
     if shape.ell == 1:
-        p = sample_group_point(FlagShape(shape.kind, n0, (n0,)), rng, bound).matrix
+        p = sample_group_point(FlagShape(shape.kind, n0, (n0,)), rng, bound)
     else:
         a = _random_block_upper(_sub_parabolic_shape(shape), rng, bound)
         b = _constrained_block(shape.N0, shape.kind, rng, bound)
         a0 = v = None
         if shape.ell % 2 == 1:
-            a0 = sample_group_point(FlagShape(shape.kind, n0, (n0,)), rng, bound).matrix
+            a0 = sample_group_point(FlagShape(shape.kind, n0, (n0,)), rng, bound)
             v = _random_matrix(rng, shape.N0, n0, bound)
         p = _parabolic_element(shape, a, a0, b, v)
     f = form_matrix(shape.kind, shape.n).num
     return Matrix.from_integer_rows(_signed_rows(f, p.num)) * Fraction(1, p.den)
 
 
-def sample_slice(shape: FlagShape, rng: Rng, bound: int = 10, variant: str = "s") -> GroupPoint:
+def sample_slice(shape: FlagShape, rng: Rng, bound: int = 10, variant: str = "s") -> Matrix:
     """Random exact point of the slice S, S0 or (for O/Sp) the group slice.
 
     S and S0 live inside GL(n) whatever the shape's kind, so those points
-    carry the GL shape of the same composition.
+    are checked against the GL shape of the same composition.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -406,7 +391,7 @@ def sample_slice(shape: FlagShape, rng: Rng, bound: int = 10, variant: str = "s"
                 rows[i - 1][j - 1] = rng.randint(-bound, bound)
             m = Matrix(rows)
             if det(m) != 0:
-                return GroupPoint(shape.as_gl(), m)
+                return _member(shape.as_gl(), m, "slice point")
         raise SamplingError(f"no invertible slice point within {_MAX_ATTEMPTS} attempts")
     if variant == "s0":
         rows = [[0] * n for _ in range(n)]
@@ -414,13 +399,9 @@ def sample_slice(shape: FlagShape, rng: Rng, bound: int = 10, variant: str = "s"
             rows[i - 1][j - 1] = rng.randint(-bound, bound)
         for i in range(1, n + 1):  # the anti-diagonal chain must not vanish
             rows[i - 1][n - i] = rng.nonzero_int(bound)
-        return GroupPoint(shape.as_gl(), Matrix(rows))
+        return _member(shape.as_gl(), Matrix(rows), "flattened slice point")
     if variant == "s_circ":
         if shape.kind not in (GroupKind.O, GroupKind.SP):
             raise ShapeError("the group slice exists only for orthogonal/symplectic kinds")
-        g = _osp_slice(shape, rng, bound)
-        try:
-            return GroupPoint(shape, g)
-        except GroupMembershipError as exc:
-            raise InternalConsistencyError("slice sample fails the form equation") from exc
+        return _member(shape, _osp_slice(shape, rng, bound), "group slice point")
     raise ValueError(f"unknown slice variant {variant!r}")

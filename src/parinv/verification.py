@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 from .generators_gl import (
     Generator,
-    MinorRecipe,
-    StackedRecipe,
+    Recipe,
     build_generators,
     descriptor_to_json,
     eval_generator,
@@ -142,8 +141,8 @@ def _conjugate_pairs(shape: FlagShape, seed: int, base: int, trials: int, bound:
     drawn from stream t of ``base``; drawn only as far as the caller iterates."""
     for t in range(trials):
         rng = Rng(seed, _stream(base, t))
-        x = sample_group_point(shape, rng, bound, second_component=second_component).matrix
-        g = sample_unipotent_radical(shape, rng, bound).matrix
+        x = sample_group_point(shape, rng, bound, second_component=second_component)
+        g = sample_unipotent_radical(shape, rng, bound)
         yield t, x, g, inverse(g) @ x @ g
 
 
@@ -199,11 +198,11 @@ def check_golden_values(shape: FlagShape) -> CheckResult:
         ]
         if [tuple(g.pair) for g in gl_gens] != expected_pairs:
             problems.append("pair list differs from the worked 17-pair example")
-        if gens[IndexPair(5, 1)].recipe != MinorRecipe((5,), (1,)):
+        if gens[IndexPair(5, 1)].recipe != Recipe((5,), (), (1,)):
             problems.append("J(5,1) should be the bare entry x_51")
-        if gens[IndexPair(4, 2)].recipe != MinorRecipe((4, 5), (1, 2)):
+        if gens[IndexPair(4, 2)].recipe != Recipe((4, 5), (), (1, 2)):
             problems.append("J(4,2) should be the 2x2 minor on rows 4,5")
-        if gens[IndexPair(1, 5)].recipe != MinorRecipe((1, 2, 3, 4, 5), (1, 2, 3, 4, 5)):
+        if gens[IndexPair(1, 5)].recipe != Recipe((1, 2, 3, 4, 5), (), (1, 2, 3, 4, 5)):
             problems.append("J(1,5) should be the full determinant")
         witness = nonvanishing_witness(shape, IndexPair(4, 4))
         j44 = eval_generator(gens[IndexPair(4, 4)], witness)
@@ -225,7 +224,7 @@ def check_golden_values(shape: FlagShape) -> CheckResult:
             problems.append(f"row pattern differs from the worked table: {by_row}")
         if set(idx.gamma0) != {IndexPair(i, j) for i in (4, 5) for j in (4, 5)}:
             problems.append("central square should be {4,5} x {4,5}")
-        if system.m0 != MinorRecipe((6, 7, 8), (1, 2, 3)):
+        if system.m0 != Recipe((6, 7, 8), (), (1, 2, 3)):
             problems.append("corner minor should take rows 6,7,8 against columns 1,2,3")
         details["counts"] = {"pairs": len(idx.pairs), "ratios": len(system.ratios)}
     if gl_kind:
@@ -282,8 +281,8 @@ def check_adjugate_minor_lemma(shape: FlagShape, seed: int, trials: int, bound: 
     counterexample = None
     for t in range(trials):
         rng = Rng(seed, _stream(_S_ADJ_LEMMA, t))
-        x = sample_group_point(ambient, rng, bound).matrix
-        g = sample_unipotent_radical(borel, rng, bound).matrix
+        x = sample_group_point(ambient, rng, bound)
+        g = sample_unipotent_radical(borel, rng, bound)
         a = rng.randint(1, n)
         row_seg = list(range(a, n + 1))
         cols = _distinct_indices(rng, len(row_seg), n)
@@ -322,7 +321,7 @@ def check_monomial_restriction(shape: FlagShape, seed: int, bound: int) -> Check
     counterexample = None
     for t in range(_MONOMIAL_POINTS):
         rng = Rng(seed, _stream(_S_MONOMIAL, t))
-        m = sample_slice(shape, rng, bound, variant="s0").matrix
+        m = sample_slice(shape, rng, bound, variant="s0")
         got = eval_family(gens0, m)
         want = [s0_monomial_value(sign, g.pair, m) for (_, g), sign in zip(gens0, signs)]
         if got != want:
@@ -381,7 +380,7 @@ def check_slice_support(shape: FlagShape, seed: int, bound: int) -> CheckResult:
     n = shape.n
     for t in range(_SLICE_SAMPLES):
         rng = Rng(seed, _stream(_S_SLICE, t))
-        support = _support(sample_slice(shape, rng, bound, variant="s").matrix)
+        support = _support(sample_slice(shape, rng, bound, variant="s"))
         if not support <= pattern:
             problems.append(f"slice sample {t} leaves the support pattern")
         seen |= support
@@ -390,7 +389,7 @@ def check_slice_support(shape: FlagShape, seed: int, bound: int) -> CheckResult:
     pattern0 = slice_pattern(shape, "s0")
     for t in range(_SLICE_SAMPLES):
         rng = Rng(seed, _stream(_S_SLICE, 1000 + t))
-        m = sample_slice(shape, rng, bound, variant="s0").matrix
+        m = sample_slice(shape, rng, bound, variant="s0")
         if not _support(m) <= pattern0:
             problems.append(f"flattened slice sample {t} leaves the support pattern")
         if any(m.num[i - 1][n - i] == 0 for i in range(1, n + 1)):
@@ -399,7 +398,7 @@ def check_slice_support(shape: FlagShape, seed: int, bound: int) -> CheckResult:
         details["s_circ_sign"] = resolve_slice_sign(shape)
         for t in range(_SLICE_SAMPLES):
             rng = Rng(seed, _stream(_S_SLICE, 2000 + t))
-            if not _support(sample_slice(shape, rng, bound, variant="s_circ").matrix) <= pattern:
+            if not _support(sample_slice(shape, rng, bound, variant="s_circ")) <= pattern:
                 problems.append(f"group slice sample {t} leaves the ambient support pattern")
     details["problems"] = problems
     return CheckResult("slice_support", not problems, details)
@@ -434,7 +433,7 @@ def check_orbit_dimension(shape: FlagShape, seed: int, bound: int) -> CheckResul
     dims = []
     for t in range(_RANK_POINTS):
         rng = Rng(seed, _stream(_S_ORBIT, t))
-        x = sample_group_point(shape, rng, bound).matrix
+        x = sample_group_point(shape, rng, bound)
         dims.append(orbit_dimension(shape, x))
     expected = dim_unipotent_radical(shape)
     passed = len(set(dims)) == 1 and dims[0] == expected
@@ -503,14 +502,14 @@ def _gradients(gens: tuple[Generator, ...], x, p: int | None = None) -> list[lis
                 target[c - 1] = v
         return out
 
-    if any(isinstance(g.recipe, StackedRecipe) for g in gens):
+    if any(g.recipe.adj_rows for g in gens):
         adj_x = adjugate_rows(x, p)
         det_x = sum(v * row[0] for v, row in zip(x[0], adj_x))  # Laplace along the first row
     out = []
     for g in gens:
         recipe = g.recipe
-        if isinstance(recipe, MinorRecipe):
-            out.append(placed(adjugate_rows(recipe_rows(recipe, x), p), recipe.cols, recipe.rows))
+        if not recipe.adj_rows:
+            out.append(placed(adjugate_rows(recipe_rows(recipe, x), p), recipe.cols, recipe.x_rows))
         else:
             cols = [c - 1 for c in recipe.cols]
             m = len(recipe.x_rows)
@@ -631,7 +630,7 @@ def check_independence(shape: FlagShape, seed: int, bound: int) -> CheckResult:
     while len(results) < _RANK_POINTS and attempt < _RANK_POINTS + 24:
         rng = Rng(seed, _stream(_S_INDEPENDENCE, attempt))
         attempt += 1
-        x = sample_group_point(shape, rng, bound).matrix
+        x = sample_group_point(shape, rng, bound)
         if not _in_generic_position(shape, x):
             skipped += 1
             continue
@@ -679,7 +678,7 @@ def check_nonvanishing(shape: FlagShape, seed: int, bound: int) -> CheckResult:
             if not left:
                 break
             rng = Rng(seed, _stream(_S_WITNESS, (_WITNESS_BUDGET if second_component else 0) + t))
-            m = sample_group_point(shape, rng, bound, second_component=second_component).matrix
+            m = sample_group_point(shape, rng, bound, second_component=second_component)
             for (label, _), value in zip(left, eval_family(left, m)):
                 if value != 0:
                     hits[label] = t
@@ -702,25 +701,16 @@ def check_nonvanishing(shape: FlagShape, seed: int, bound: int) -> CheckResult:
 
 
 def _mutations_of(gen: Generator, n: int):
-    recipe = gen.recipe
-    if isinstance(recipe, MinorRecipe):
-        if recipe.cols[-1] < n:
-            yield "cols_shifted", MinorRecipe(recipe.rows, tuple(c + 1 for c in recipe.cols))
-        bumped = recipe.rows[0] + 1
-        if bumped <= n and bumped not in recipe.rows[1:]:
-            yield "row_bumped", MinorRecipe((bumped,) + recipe.rows[1:], recipe.cols)
-    elif isinstance(recipe, StackedRecipe):
-        if min(recipe.adj_rows) > 1:
-            yield "adj_rows_shifted", StackedRecipe(
-                recipe.x_rows, tuple(r - 1 for r in recipe.adj_rows), recipe.cols
-            )
-        if recipe.cols[-1] < n:
-            yield "cols_shifted", StackedRecipe(
-                recipe.x_rows, recipe.adj_rows, tuple(c + 1 for c in recipe.cols)
-            )
-        merged = recipe.x_rows + recipe.adj_rows
-        if len(set(merged)) == len(merged):
-            yield "adjugate_dropped", MinorRecipe(merged, recipe.cols)
+    """Labelled broken recipes near gen's: adj rows shifted up, columns shifted
+    right, or (a minor's) first row bumped down."""
+    x_rows, adj_rows, cols = gen.recipe.x_rows, gen.recipe.adj_rows, gen.recipe.cols
+    if adj_rows and min(adj_rows) > 1:
+        yield "adj_rows_shifted", Recipe(x_rows, tuple(r - 1 for r in adj_rows), cols)
+    if cols[-1] < n:
+        yield "cols_shifted", Recipe(x_rows, adj_rows, tuple(c + 1 for c in cols))
+    bumped = x_rows[0] + 1
+    if not adj_rows and bumped <= n and bumped not in x_rows[1:]:
+        yield "row_bumped", Recipe((bumped,) + x_rows[1:], (), cols)
 
 
 def mutated_generators(shape: FlagShape) -> list[tuple[str, Generator]]:

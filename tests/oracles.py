@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, NamedTuple
 
-from parinv.generators_gl import MinorRecipe, StackedRecipe, eval_generator
+from parinv.generators_gl import eval_generator
 from parinv.linalg import P, Matrix, adjugate, adjugate_rows, det, inverse
 from parinv import sampling
 from parinv.sampling import (
@@ -69,15 +69,13 @@ def eval_descriptor_cofactor(gen, m: Matrix, adj=None):
     """Evaluate a generator with cofactor expansion only; adj, when given, is
     ``adjugate_cofactor`` of m's rows, computed once for several generators."""
     recipe = gen.recipe
-    if isinstance(recipe, MinorRecipe):
-        return minor_cofactor(m, recipe.rows, recipe.cols)
-    if isinstance(recipe, StackedRecipe):
-        if adj is None:
-            adj = adjugate_cofactor([list(r) for r in m.rows])
-        rows = [[m.rows[r - 1][c - 1] for c in recipe.cols] for r in recipe.x_rows]
-        rows += [[adj[r - 1][c - 1] for c in recipe.cols] for r in recipe.adj_rows]
-        return det_cofactor(rows)
-    raise TypeError(f"unknown recipe {recipe!r}")
+    if not recipe.adj_rows:
+        return minor_cofactor(m, recipe.x_rows, recipe.cols)
+    if adj is None:
+        adj = adjugate_cofactor([list(r) for r in m.rows])
+    rows = [[m.rows[r - 1][c - 1] for c in recipe.cols] for r in recipe.x_rows]
+    rows += [[adj[r - 1][c - 1] for c in recipe.cols] for r in recipe.adj_rows]
+    return det_cofactor(rows)
 
 
 def rank_cofactor(m: Matrix) -> int:
@@ -283,14 +281,14 @@ def forward_jacobian(gens, point, directions, f=QQ):
     and d adj(X)[B] = tr(adj(X) B) X^-1 - adj(X) B X^-1 formed from two
     n x n products per direction.
     """
-    if any(isinstance(g.recipe, StackedRecipe) for g in gens):
+    if any(g.recipe.adj_rows for g in gens):
         x_inv = f.inverse(point)
         adj_x = f.scale(x_inv, f.det(point))
     prepared = []
     for g in gens:
         recipe = g.recipe
-        if isinstance(recipe, MinorRecipe):
-            prepared.append(f.adjugate(f.submatrix(point, recipe.rows, recipe.cols)))
+        if not recipe.adj_rows:
+            prepared.append(f.adjugate(f.submatrix(point, recipe.x_rows, recipe.cols)))
         else:
             prepared.append(f.adjugate(f.stacked(recipe, point, adj_x)))
     rows = [[] for _ in gens]
@@ -298,8 +296,8 @@ def forward_jacobian(gens, point, directions, f=QQ):
         d_adj = None
         for g, prep, row in zip(gens, prepared, rows):
             recipe = g.recipe
-            if isinstance(recipe, MinorRecipe):
-                row.append(f.trace_product(prep, f.submatrix(b, recipe.rows, recipe.cols)))
+            if not recipe.adj_rows:
+                row.append(f.trace_product(prep, f.submatrix(b, recipe.x_rows, recipe.cols)))
             else:
                 if d_adj is None:
                     d_adj = f.sub(
@@ -374,8 +372,8 @@ def negative_controls_per_mutant(shape, mutants, seed, trials, bound, stream):
     def pair(t):
         while len(pairs) <= t:
             rng = Rng(seed, stream(len(pairs)))
-            x = sample_group_point(shape, rng, bound).matrix
-            g = sample_unipotent_radical(shape, rng, bound).matrix
+            x = sample_group_point(shape, rng, bound)
+            g = sample_unipotent_radical(shape, rng, bound)
             y = inverse(g) @ x @ g
             pairs.append((x, adjugate(x), y, adjugate(y)))
         return pairs[t]
@@ -418,7 +416,7 @@ def group_slice_by_blocks(shape, rng, bound, sign):
     sign I_0 a^sigma^-1, with a, b, a0 and v drawn in that order."""
     n0, big_n0 = shape.n0, shape.N0
     if shape.ell == 1:
-        return form_matrix(shape.kind, n0) @ sample_group_point(shape, rng, bound).matrix
+        return form_matrix(shape.kind, n0) @ sample_group_point(shape, rng, bound)
     i0 = anti_identity(big_n0)
     a = sampling._random_block_upper(FlagShape(GroupKind.GL, big_n0, shape.parts[: shape.ell0]), rng, bound)
     b = sampling._constrained_block(big_n0, shape.kind, rng, bound)
@@ -427,7 +425,7 @@ def group_slice_by_blocks(shape, rng, bound, sign):
     if shape.ell % 2 == 0:
         zero = Matrix.zeros(big_n0, big_n0)
         return Matrix.from_blocks([[zero, top_right], [bottom_left, bottom_left @ b]])
-    a0 = sample_group_point(make_shape(shape.kind.value, n0, (n0,)), rng, bound).matrix
+    a0 = sample_group_point(make_shape(shape.kind.value, n0, (n0,)), rng, bound)
     v = sampling._random_matrix(rng, big_n0, n0, bound)
     j0 = form_matrix(shape.kind, n0)
     w = -(j0 @ v.transpose() @ i0)

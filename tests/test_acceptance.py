@@ -9,7 +9,7 @@ import sys
 import time
 
 from parinv.generators_gl import (
-    MinorRecipe,
+    Recipe,
     build_generators,
     eval_generator,
     nonvanishing_witness,
@@ -65,13 +65,13 @@ def test_criterion_1_golden_values():
     gens = build_generators(GL5)
     ok = [tuple(g.pair) for g in gens] == EXAMPLE_PAIRS
     by_pair = {tuple(g.pair): g for g in gens}
-    ok = ok and by_pair[(5, 1)].recipe == MinorRecipe((5,), (1,))
-    ok = ok and by_pair[(4, 2)].recipe == MinorRecipe((4, 5), (1, 2))
-    ok = ok and by_pair[(1, 5)].recipe == MinorRecipe((1, 2, 3, 4, 5), (1, 2, 3, 4, 5))
+    ok = ok and by_pair[(5, 1)].recipe == Recipe((5,), (), (1,))
+    ok = ok and by_pair[(4, 2)].recipe == Recipe((4, 5), (), (1, 2))
+    ok = ok and by_pair[(1, 5)].recipe == Recipe((1, 2, 3, 4, 5), (), (1, 2, 3, 4, 5))
     witness = nonvanishing_witness(GL5, IndexPair(4, 4))
     ok = ok and eval_generator(by_pair[(4, 4)], witness) == 1
     # the three pinned evaluations, on a seeded random group point
-    x = sample_group_point(GL5, Rng(2024), 9).matrix
+    x = sample_group_point(GL5, Rng(2024), 9)
     ok = ok and eval_generator(by_pair[(5, 1)], x) == x.rows[4][0]
     ok = ok and eval_generator(by_pair[(4, 2)], x) == (
         x.rows[3][0] * x.rows[4][1] - x.rows[3][1] * x.rows[4][0]
@@ -88,7 +88,7 @@ def test_criterion_2_monomial_restriction():
     gens0 = [g for g in build_generators(GL5) if g.pair in sigma0]
     ok = True
     for t in range(20):
-        m = sample_slice(GL5, Rng(7, t), 10, "s0").matrix
+        m = sample_slice(GL5, Rng(7, t), 10, "s0")
         # the pinned sign: restriction of J(2,3) is -s51 * s42 * s23
         j23 = next(g for g in gens0 if g.pair == IndexPair(2, 3))
         ok = ok and eval_generator(j23, m) == -(m.rows[4][0] * m.rows[3][1] * m.rows[1][2])

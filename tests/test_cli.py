@@ -8,7 +8,8 @@ import pytest
 from parinv.cli import _build_parser, main
 from parinv.linalg import Matrix, matrix_to_json
 from parinv.generators_gl import nonvanishing_witness
-from parinv.sampling import Rng, sample_group_point
+from parinv import sampling
+from parinv.sampling import InternalConsistencyError, Rng, sample_group_point
 from parinv.shapes import IndexPair, make_shape
 
 
@@ -174,7 +175,7 @@ def test_describe_and_eval_output_is_pinned(kind, n, parts, tmp_path, capsys):
     shape_args = ["--group", kind, "--n", str(n), "--parts", parts]
     point = sample_group_point(make_shape(kind, n, map(int, parts.split(","))), Rng(11), 5)
     path = tmp_path / "point.json"
-    path.write_text(json.dumps(matrix_to_json(point.matrix)))
+    path.write_text(json.dumps(matrix_to_json(point)))
     code, described, _ = run_cli(capsys, "describe", *shape_args)
     assert code == 0
     code, evaluated, _ = run_cli(capsys, "eval", *shape_args, "--matrix", str(path))
@@ -240,6 +241,20 @@ def test_sample_commands(capsys):
         "--seed", "4", "--trials", "1", "--what", "slice-scirc",
     )
     assert code == 0
+
+
+def test_a_sampler_fault_is_not_a_usage_error(monkeypatch):
+    # a sampled non-member is an internal fault, never exit 2
+    monkeypatch.setattr(sampling, "defining_equation_holds", lambda kind, m: False)
+    for group, n, parts, what in [
+        ("gl", "5", "1,2,2", "group"),
+        ("gl", "5", "1,2,2", "unipotent"),
+        ("gl", "5", "1,2,2", "slice-s"),
+        ("gl", "5", "1,2,2", "slice-s0"),
+        ("o", "6", "2,2,2", "slice-scirc"),
+    ]:
+        with pytest.raises(InternalConsistencyError):
+            main(["sample", "--group", group, "--n", n, "--parts", parts, "--trials", "1", "--what", what])
 
 
 def test_sample_determinism(capsys):

@@ -4,8 +4,7 @@ import pytest
 
 from parinv.generators_gl import (
     Generator,
-    MinorRecipe,
-    StackedRecipe,
+    Recipe,
     build_generators,
     descriptor_to_json,
     eval_generator,
@@ -36,23 +35,23 @@ RATIONAL_POINT_SHAPES = ((SL5, False), (O5, False), (O5, True), (make_shape("sp"
 
 # the complete recipe table of the worked 5x5 example, in order
 EXPECTED_RECIPES = {
-    (5, 1): MinorRecipe((5,), (1,)),
-    (4, 1): MinorRecipe((4,), (1,)),
-    (5, 2): StackedRecipe((5,), (5,), (1, 2)),
-    (4, 2): MinorRecipe((4, 5), (1, 2)),
-    (5, 3): StackedRecipe((5,), (4, 5), (1, 2, 3)),
-    (4, 3): StackedRecipe((4, 5), (5,), (1, 2, 3)),
-    (3, 3): MinorRecipe((3, 4, 5), (1, 2, 3)),
-    (2, 3): MinorRecipe((2, 4, 5), (1, 2, 3)),
-    (5, 4): StackedRecipe((5,), (3, 4, 5), (1, 2, 3, 4)),
-    (4, 4): StackedRecipe((4, 5), (4, 5), (1, 2, 3, 4)),
-    (3, 4): StackedRecipe((3, 4, 5), (5,), (1, 2, 3, 4)),
-    (2, 4): MinorRecipe((2, 3, 4, 5), (1, 2, 3, 4)),
-    (5, 5): StackedRecipe((5,), (2, 3, 4, 5), (1, 2, 3, 4, 5)),
-    (4, 5): StackedRecipe((4, 5), (3, 4, 5), (1, 2, 3, 4, 5)),
-    (3, 5): StackedRecipe((3, 4, 5), (4, 5), (1, 2, 3, 4, 5)),
-    (2, 5): StackedRecipe((2, 3, 4, 5), (5,), (1, 2, 3, 4, 5)),
-    (1, 5): MinorRecipe((1, 2, 3, 4, 5), (1, 2, 3, 4, 5)),
+    (5, 1): Recipe((5,), (), (1,)),
+    (4, 1): Recipe((4,), (), (1,)),
+    (5, 2): Recipe((5,), (5,), (1, 2)),
+    (4, 2): Recipe((4, 5), (), (1, 2)),
+    (5, 3): Recipe((5,), (4, 5), (1, 2, 3)),
+    (4, 3): Recipe((4, 5), (5,), (1, 2, 3)),
+    (3, 3): Recipe((3, 4, 5), (), (1, 2, 3)),
+    (2, 3): Recipe((2, 4, 5), (), (1, 2, 3)),
+    (5, 4): Recipe((5,), (3, 4, 5), (1, 2, 3, 4)),
+    (4, 4): Recipe((4, 5), (4, 5), (1, 2, 3, 4)),
+    (3, 4): Recipe((3, 4, 5), (5,), (1, 2, 3, 4)),
+    (2, 4): Recipe((2, 3, 4, 5), (), (1, 2, 3, 4)),
+    (5, 5): Recipe((5,), (2, 3, 4, 5), (1, 2, 3, 4, 5)),
+    (4, 5): Recipe((4, 5), (3, 4, 5), (1, 2, 3, 4, 5)),
+    (3, 5): Recipe((3, 4, 5), (4, 5), (1, 2, 3, 4, 5)),
+    (2, 5): Recipe((2, 3, 4, 5), (5,), (1, 2, 3, 4, 5)),
+    (1, 5): Recipe((1, 2, 3, 4, 5), (), (1, 2, 3, 4, 5)),
 }
 
 
@@ -131,7 +130,7 @@ def test_eval_matches_cofactor_oracle_at_identity_and_random():
         system = build_system(shape)
         family = [g for _, g in system.family()]
         for t in range(2):
-            m = sample_group_point(shape, Rng(58, t), 6, second_component=second).matrix
+            m = sample_group_point(shape, Rng(58, t), 6, second_component=second)
             adj = adjugate(m)
             assert m.den > 1 and adj.den > 1
             oracle_adj = adjugate_cofactor([list(r) for r in m.rows])
@@ -145,11 +144,11 @@ def test_eval_refuses_indices_past_n():
     m = Matrix([[(i + 1) ** j for j in range(5)] for i in range(5)])  # Vandermonde
     assert det(m) != 0 and all(x != 0 for row in m.rows for x in row)
     for recipe in (
-        MinorRecipe((6,), (1,)),
-        MinorRecipe((1, 2), (1, 6)),
-        StackedRecipe((6,), (5,), (1, 2)),
-        StackedRecipe((5,), (6,), (1, 2)),
-        StackedRecipe((5,), (5,), (1, 6)),
+        Recipe((6,), (), (1,)),
+        Recipe((1, 2), (), (1, 6)),
+        Recipe((6,), (5,), (1, 2)),
+        Recipe((5,), (6,), (1, 2)),
+        Recipe((5,), (5,), (1, 6)),
     ):
         with pytest.raises(IndexError):
             eval_generator(Generator(None, recipe), m)
@@ -158,8 +157,8 @@ def test_eval_refuses_indices_past_n():
 def test_recipe_rows_take_x_then_adj_in_stored_order():
     x = [[10 * r + c for c in range(1, 6)] for r in range(1, 6)]
     adj = [[-v for v in row] for row in x]
-    assert recipe_rows(MinorRecipe((4, 2), (3, 1)), x) == [[43, 41], [23, 21]]
-    rows = recipe_rows(StackedRecipe((5,), (4, 5), (2, 1, 3)), x, adj)
+    assert recipe_rows(Recipe((4, 2), (), (3, 1)), x) == [[43, 41], [23, 21]]
+    rows = recipe_rows(Recipe((5,), (4, 5), (2, 1, 3)), x, adj)
     assert rows == [[52, 51, 53], [-42, -41, -43], [-52, -51, -53]]
     rows[0][0] = 0  # fresh rows: the source is untouched
     assert x[4][1] == 52
@@ -191,15 +190,15 @@ def test_invariance_under_unipotent_conjugation():
     for shape in (GL5, SL5, make_shape("gl", 6, (1, 2, 3))):
         for t in range(8):
             rng = Rng(53, t)
-            x = sample_group_point(shape, rng, 6).matrix
-            u = sample_unipotent_radical(shape, rng, 6).matrix
+            x = sample_group_point(shape, rng, 6)
+            u = sample_unipotent_radical(shape, rng, 6)
             assert family_values(shape, inverse(u) @ x @ u) == family_values(shape, x)
 
 
 def test_not_invariant_under_general_conjugation():
     # negative control at module level: full conjugation must move some generator
     rng = Rng(54)
-    x = sample_group_point(GL5, rng, 6).matrix
+    x = sample_group_point(GL5, rng, 6)
     g = random_invertible(rng, 5)
     moved = family_values(GL5, inverse(g) @ x @ g) != family_values(GL5, x)
     assert moved
@@ -210,7 +209,7 @@ def test_monomial_restriction_on_flattened_slice():
     gens = [g for g in build_generators(GL5) if g.pair in sigma0]
     assert len(gens) == 7
     for t in range(10):
-        m = sample_slice(GL5, Rng(55, t), 9, "s0").matrix
+        m = sample_slice(GL5, Rng(55, t), 9, "s0")
         for g in gens:
             assert eval_generator(g, m) == s0_monomial_value(s0_monomial_sign(GL5, g), g.pair, m)
 
@@ -219,7 +218,7 @@ def test_pinned_sign_for_pair_2_3():
     gens = {tuple(g.pair): g for g in build_generators(GL5)}
     assert s0_monomial_sign(GL5, gens[(2, 3)]) == -1
     # J(2,3) restricted to S0 is -s51 * s42 * s23
-    m = sample_slice(GL5, Rng(56), 9, "s0").matrix
+    m = sample_slice(GL5, Rng(56), 9, "s0")
     expected = -m.rows[4][0] * m.rows[3][1] * m.rows[1][2]
     assert eval_generator(gens[(2, 3)], m) == expected
 
@@ -248,7 +247,7 @@ def test_dual_eval_matches_cofactor_dual_oracle():
     m = random_invertible(rng, 5)
     b = Matrix([[rng.randint(-4, 4) for _ in range(5)] for _ in range(5)])
     gens = build_generators(GL5)
-    assert {type(g.recipe) for g in gens} == {MinorRecipe, StackedRecipe}
+    assert {bool(g.recipe.adj_rows) for g in gens} == {False, True}  # minors and stacked
     exact = verification._gradients(gens, m.num)
     residues = verification._gradients(gens, [[x % P for x in row] for row in m.num], P)
     for g, h, h_mod_p in zip(gens, exact, residues):
@@ -258,13 +257,11 @@ def test_dual_eval_matches_cofactor_dual_oracle():
         # which is f'(m)[b]
         recipe = g.recipe
         degree = (
-            len(recipe.rows)
-            if isinstance(recipe, MinorRecipe)
-            else len(recipe.x_rows) + 4 * len(recipe.adj_rows)
+            len(recipe.x_rows) + 4 * len(recipe.adj_rows)
         )
         nodes = [Fraction(k) for k in range(degree + 1)]
         deriv = derivative_at_zero(nodes, [eval_descriptor_cofactor(g, m + b * u) for u in nodes])
-        scale = 1 if isinstance(recipe, MinorRecipe) else det(m)
+        scale = det(m) if recipe.adj_rows else 1
         assert trace_pairing(h, b.num) == scale * deriv
         assert trace_pairing(h_mod_p, b.num) % P == fraction_mod_p(scale * deriv)
 
@@ -289,22 +286,22 @@ def test_descriptor_json():
 
 def test_recipe_validation():
     bad = [
-        lambda: MinorRecipe((1, 2), (1,)),
-        lambda: StackedRecipe((1,), (2,), (1, 2, 3)),
+        lambda: Recipe((1, 2), (), (1,)),
+        lambda: Recipe((1,), (2,), (1, 2, 3)),
         # every index is at least 1, and no list repeats one
-        lambda: MinorRecipe((0, 2), (1, 2)),
-        lambda: MinorRecipe((1, 2), (-1, 2)),
-        lambda: MinorRecipe((2, 2), (1, 2)),
-        lambda: MinorRecipe((1, 2), (3, 3)),
-        lambda: StackedRecipe((0,), (5,), (1, 2)),
-        lambda: StackedRecipe((5,), (0,), (1, 2)),
-        lambda: StackedRecipe((5,), (5,), (0, 1)),
-        lambda: StackedRecipe((4, 4), (5,), (1, 2, 3)),
-        lambda: StackedRecipe((5,), (4, 4), (1, 2, 3)),
-        lambda: StackedRecipe((5,), (5,), (2, 2)),
+        lambda: Recipe((0, 2), (), (1, 2)),
+        lambda: Recipe((1, 2), (), (-1, 2)),
+        lambda: Recipe((2, 2), (), (1, 2)),
+        lambda: Recipe((1, 2), (), (3, 3)),
+        lambda: Recipe((0,), (5,), (1, 2)),
+        lambda: Recipe((5,), (0,), (1, 2)),
+        lambda: Recipe((5,), (5,), (0, 1)),
+        lambda: Recipe((4, 4), (5,), (1, 2, 3)),
+        lambda: Recipe((5,), (4, 4), (1, 2, 3)),
+        lambda: Recipe((5,), (5,), (2, 2)),
     ]
     for make in bad:
         with pytest.raises(ShapeError):
             make()
     # a row may come from x and from the adjugate at once: J(5,2) takes row 5 of both
-    assert StackedRecipe((5,), (5,), (1, 2)) == EXPECTED_RECIPES[(5, 2)]
+    assert Recipe((5,), (5,), (1, 2)) == EXPECTED_RECIPES[(5, 2)]

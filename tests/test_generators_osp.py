@@ -1,10 +1,12 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from parinv import generators_osp
 from parinv.generators_gl import (
-    MinorRecipe,
+    Recipe,
     build_generators,
     eval_generator,
     nonvanishing_witness,
@@ -45,11 +47,11 @@ def test_sp8_system_structure():
     system = build_system(SP8)
     assert len(system.j) == 19
     assert [tuple(g.pair) for g in system.j] == [tuple(p) for p in index_set(SP8).pairs]
-    assert system.m0 == MinorRecipe((6, 7, 8), (1, 2, 3))
+    assert system.m0 == Recipe((6, 7, 8), (), (1, 2, 3))
     assert len(system.ratios) == 4
     assert [tuple(g.pair) for g in system.ratios] == [(5, 4), (4, 4), (5, 5), (4, 5)]
     m45 = next(g for g in system.ratios if g.pair == IndexPair(4, 5))
-    assert m45.recipe == MinorRecipe((4, 6, 7, 8), (1, 2, 3, 5))
+    assert m45.recipe == Recipe((4, 6, 7, 8), (), (1, 2, 3, 5))
     labels = [label for label, _ in system.family()]
     assert labels[19:] == ["M0", "M(5,4)", "M(4,4)", "M(5,5)", "M(4,5)"]
 
@@ -64,7 +66,7 @@ def test_even_parts_have_no_ratios():
 
 def test_o5_system_structure():
     system = build_system(O5)
-    assert system.m0 == MinorRecipe((5,), (1,))
+    assert system.m0 == Recipe((5,), (), (1,))
     assert len(system.ratios) == 9
     assert {tuple(g.pair) for g in system.ratios} == {
         (i, j) for i in (2, 3, 4) for j in (2, 3, 4)
@@ -104,13 +106,13 @@ def test_ratio_values_match_two_minor_oracle():
     found = 0
     for t in range(12):
         pt = sample_group_point(SP8, Rng(60, t), 4)
-        m0 = minor_cofactor(pt.matrix, (6, 7, 8), (1, 2, 3))
+        m0 = minor_cofactor(pt, (6, 7, 8), (1, 2, 3))
         if m0 == 0:
             continue
         found += 1
-        values = named_values(system, pt.matrix)
+        values = named_values(system, pt)
         for gen in system.ratios:
-            num = minor_cofactor(pt.matrix, gen.recipe.rows, gen.recipe.cols)
+            num = minor_cofactor(pt, gen.recipe.x_rows, gen.recipe.cols)
             assert ratio_value(values, gen) == num / m0
         if found >= 3:
             break
@@ -121,7 +123,7 @@ def test_smallest_pair_is_bare_entry():
     system = build_system(SP8)
     first = system.j[0]
     assert first.pair == IndexPair(8, 1)
-    pt = sample_group_point(SP8, Rng(61), 4).matrix
+    pt = sample_group_point(SP8, Rng(61), 4)
     assert eval_generator(first, pt) == pt.rows[7][0]
 
 
@@ -131,11 +133,11 @@ def test_invariance_of_all_families():
         family = system.family()
         for t in range(5):
             rng = Rng(62, t)
-            x = sample_group_point(shape, rng, 5).matrix
-            u = sample_unipotent_radical(shape, rng, 5).matrix
+            x = sample_group_point(shape, rng, 5)
+            u = sample_unipotent_radical(shape, rng, 5)
             y = inverse(u) @ x @ u
             assert eval_family(family, x) == eval_family(family, y)
-            if system.m0 is not None and minor(x, system.m0.rows, system.m0.cols) != 0:
+            if system.m0 is not None and minor(x, system.m0.x_rows, system.m0.cols) != 0:
                 at_x, at_y = named_values(system, x), named_values(system, y)
                 for gen in system.ratios:
                     assert ratio_value(at_x, gen) == ratio_value(at_y, gen)
@@ -146,9 +148,9 @@ def test_p_ratio_invariance_where_defined():
     checked = 0
     for t in range(10):
         rng = Rng(63, t)
-        x = sample_group_point(O6, rng, 5).matrix
-        u = sample_unipotent_radical(O6, rng, 5).matrix
-        if minor(x, system.m0.rows, system.m0.cols) != 0:
+        x = sample_group_point(O6, rng, 5)
+        u = sample_unipotent_radical(O6, rng, 5)
+        if minor(x, system.m0.x_rows, system.m0.cols) != 0:
             y = inverse(u) @ x @ u
             at_x, at_y = named_values(system, x), named_values(system, y)
             for gen in system.ratios:
@@ -161,14 +163,14 @@ def test_degenerate_single_block():
     shape = make_shape("o", 3, (3,))
     system = build_system(shape)
     assert system.j == ()
-    assert system.m0 == MinorRecipe((), ())
+    assert system.m0 == Recipe((), (), ())
     pt = sample_group_point(shape, Rng(64), 5)
-    values = named_values(system, pt.matrix)
+    values = named_values(system, pt)
     assert values["M0"] == 1  # the empty minor
     # ratios degenerate to bare matrix entries
     for gen in system.ratios:
         i, j = gen.pair
-        assert ratio_value(values, gen) == pt.matrix.rows[i - 1][j - 1]
+        assert ratio_value(values, gen) == pt.rows[i - 1][j - 1]
 
 
 @pytest.mark.parametrize("shape", [O5, SP8, make_shape("o", 9, (2, 2, 1, 2, 2))], ids=["o5", "sp8", "o9"])
@@ -176,7 +178,7 @@ def test_eval_generator_takes_the_ratio_minors(shape):
     # a ratio generator is its augmented minor M(i,j), evaluated like any other minor
     system = build_system(shape)
     for t in range(3):
-        x = sample_group_point(shape, Rng(67, t), 5).matrix
+        x = sample_group_point(shape, Rng(67, t), 5)
         values = named_values(system, x)
         for gen in system.ratios:
             assert eval_generator(gen, x) == values[f"M({gen.pair.i},{gen.pair.j})"]
@@ -188,8 +190,8 @@ def test_ratio_derivatives_match_interpolation_oracle(shape):
     m0 = system.m0
     x = next(
         m
-        for m in (sample_group_point(shape, Rng(65, t), 4).matrix for t in range(20))
-        if minor_cofactor(m, m0.rows, m0.cols) != 0
+        for m in (sample_group_point(shape, Rng(65, t), 4) for t in range(20))
+        if minor_cofactor(m, m0.x_rows, m0.cols) != 0
     )
     # the rows are taken at the integer numerator X of x = X / d, in the directions X A
     big = Matrix(x.num)
@@ -205,8 +207,8 @@ def test_ratio_derivatives_match_interpolation_oracle(shape):
 
     def value_and_derivative(recipe):
         # a k x k minor of X + t b is a polynomial of degree k in t
-        nodes = [Fraction(k) for k in range(len(recipe.rows) + 1)]
-        vals = [minor_cofactor(big + b * u, recipe.rows, recipe.cols) for u in nodes]
+        nodes = [Fraction(k) for k in range(len(recipe.x_rows) + 1)]
+        vals = [minor_cofactor(big + b * u, recipe.x_rows, recipe.cols) for u in nodes]
         return vals[0], derivative_at_zero(nodes, vals)
 
     den, d_den = value_and_derivative(m0)
@@ -251,10 +253,10 @@ def fallbacks(monkeypatch):
 @pytest.mark.parametrize("shape", valid_shapes(5) + LADDER, ids=_label)
 def test_chain_values_equal_per_recipe_values_at_group_points(shape):
     family = build_system(shape).family()
-    points = [sample_group_point(shape, Rng(91, t), 10).matrix for t in range(2)]
+    points = [sample_group_point(shape, Rng(91, t), 10) for t in range(2)]
     if shape.kind is GroupKind.O:
         points += [
-            sample_group_point(shape, Rng(91, 10 + t), 10, second_component=True).matrix
+            sample_group_point(shape, Rng(91, 10 + t), 10, second_component=True)
             for t in range(2)
         ]
     for x in points:
@@ -266,8 +268,8 @@ def _fallback_points(shape):
     n = shape.n
     points = [Matrix.identity(n), anti_identity(n)]
     points += [nonvanishing_witness(shape, pair) for pair in index_set(shape).pairs]
-    points.append(sample_slice(shape, Rng(92, 0), 10, variant="s0").matrix)
-    rows = [list(row) for row in sample_group_point(shape, Rng(92, 1), 10).matrix.rows]
+    points.append(sample_slice(shape, Rng(92, 0), 10, variant="s0"))
+    rows = [list(row) for row in sample_group_point(shape, Rng(92, 1), 10).rows]
     rows[n - 1][0] = 0  # x_{n1}, the first pivot of every chain
     points.append(Matrix(rows))
     return points
@@ -288,7 +290,7 @@ def test_chain_values_fall_back_past_a_zero_leading_minor(fallbacks):
 def test_chain_values_match_cofactor_oracle_at_group_points():
     for shape in valid_shapes(5):
         family = build_system(shape).family()
-        x = sample_group_point(shape, Rng(93, 0), 10).matrix
+        x = sample_group_point(shape, Rng(93, 0), 10)
         adj = adjugate_cofactor([list(row) for row in x.rows])
         assert eval_family(family, x) == [eval_descriptor_cofactor(g, x, adj) for _, g in family]
 
@@ -299,7 +301,7 @@ def test_every_pair_is_read_off_a_chain(n, fallbacks):
     shape = make_shape("gl", n, (n,))
     family = build_system(shape).family()
     assert len(family) == n * n
-    x = sample_group_point(shape, Rng(94, n), 10).matrix
+    x = sample_group_point(shape, Rng(94, n), 10)
     assert eval_family(family, x) == one_by_one(family, x)
     assert fallbacks == []
 
@@ -318,10 +320,22 @@ def test_recipes_off_the_chain_pattern_fall_back(fallbacks):
     # past the leading ones, and mutants, are not
     system = build_system(SP8)
     family = system.family()
-    x = sample_group_point(SP8, Rng(95), 10).matrix
+    x = sample_group_point(SP8, Rng(95), 10)
     assert eval_family(family, x) == one_by_one(family, x)
     off_chain = [g.recipe for g in fallbacks]
     assert system.m0 not in off_chain
-    assert off_chain and all(isinstance(r, MinorRecipe) and r.cols[-1] > len(r.cols) for r in off_chain)
+    assert off_chain and all(not r.adj_rows and r.cols[-1] > len(r.cols) for r in off_chain)
     mutants = verification.mutated_generators(SP8)
     assert eval_family(mutants, x) == one_by_one(mutants, x)
+
+
+def test_chain_plan_is_pinned():
+    # sha256 of the family and mutant labels, chains, slots and needs_adj of every
+    # valid shape with n <= 8; values alone would not show a recipe read off
+    # another chain (a trailing-row minor also fits the stacked pattern)
+    digest = hashlib.sha256()
+    for shape in valid_shapes(8):
+        family = build_system(shape).family() + verification.mutated_generators(shape)
+        chains, slots, needs_adj = generators_osp._chain_plan(tuple(g.recipe for _, g in family), shape.n)
+        digest.update(json.dumps([[label for label, _ in family], chains, slots, needs_adj]).encode())
+    assert digest.hexdigest() == "ee00d5668352642b90bc8330cb6adb63940d35cb1d9cc5cac8b29b657945709c"

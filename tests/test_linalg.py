@@ -454,7 +454,7 @@ def test_inverse_and_adjugate_of_rows_over_different_denominators():
     # rows with different lowest-terms denominators, and an SL point whose
     # row 1 is over its determinant, against the cofactor oracle
     rng = Rng(63)
-    sl_point = sample_group_point(make_shape("sl", 5, (1, 2, 2)), Rng(63, 1), 10).matrix
+    sl_point = sample_group_point(make_shape("sl", 5, (1, 2, 2)), Rng(63, 1), 10)
     cases = [Matrix([[Fraction(1, 6), Fraction(1, 10)], [2, Fraction(3, 4)]]), sl_point]
     for _ in range(40):
         n = rng.randint(1, 5)

@@ -7,8 +7,6 @@ import pytest
 from parinv import sampling
 from parinv.linalg import Matrix, adjugate, det, inverse, matrix_to_json
 from parinv.sampling import (
-    GroupMembershipError,
-    GroupPoint,
     InternalConsistencyError,
     Rng,
     SamplingError,
@@ -120,19 +118,19 @@ def test_forms():
 
 
 def test_group_point_validation():
-    with pytest.raises(GroupMembershipError):
-        GroupPoint(GL5, Matrix.zeros(5, 5))
-    with pytest.raises(GroupMembershipError):
-        GroupPoint(GL5, Matrix.identity(4))
-    with pytest.raises(GroupMembershipError):
-        GroupPoint(SL5, Matrix.identity(5) * 2)
-    assert GroupPoint(O5, Matrix.identity(5)).matrix == Matrix.identity(5)
+    with pytest.raises(InternalConsistencyError):
+        sampling._member(GL5, Matrix.zeros(5, 5), "point")
+    with pytest.raises(InternalConsistencyError):
+        sampling._member(GL5, Matrix.identity(4), "point")
+    with pytest.raises(InternalConsistencyError):
+        sampling._member(SL5, Matrix.identity(5) * 2, "point")
+    assert sampling._member(O5, Matrix.identity(5), "point") == Matrix.identity(5)
 
 
 def test_zero_draws_give_identity_radical():
     for shape in (GL5, SP8, O6):
         g = sample_unipotent_radical(shape, ZeroRng(), bound=10)
-        assert g.matrix == Matrix.identity(shape.n)
+        assert g == Matrix.identity(shape.n)
 
 
 def test_cayley_of_zero_is_identity():
@@ -143,7 +141,7 @@ def test_gl_radical_support_matches_star_positions():
     # the worked 5x5 table: U sits at the strictly-upper block positions
     star = {(1, 2), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5)}
     for t in range(10):
-        g = sample_unipotent_radical(GL5, Rng(31, t), bound=9).matrix
+        g = sample_unipotent_radical(GL5, Rng(31, t), bound=9)
         for i in range(1, 6):
             for j in range(1, 6):
                 entry = g.rows[i - 1][j - 1]
@@ -156,7 +154,7 @@ def test_gl_radical_support_matches_star_positions():
 def test_sp8_radical_form_equation_100_seeds():
     f = form_matrix(SP8.kind, SP8.n)
     for t in range(100):
-        g = sample_unipotent_radical(SP8, Rng(30, t), bound=10).matrix
+        g = sample_unipotent_radical(SP8, Rng(30, t), bound=10)
         assert g.transpose() @ f @ g == f
 
 
@@ -164,7 +162,7 @@ def test_osp_radical_satisfies_form_equation():
     for shape in OSP_SHAPES:
         f = form_matrix(shape.kind, shape.n)
         for t in range(20):
-            g = sample_unipotent_radical(shape, Rng(32, t), bound=7).matrix
+            g = sample_unipotent_radical(shape, Rng(32, t), bound=7)
             assert g.transpose() @ f @ g == f
             # radical elements are block-unipotent: identity diagonal blocks
             for i in range(1, shape.n + 1):
@@ -178,15 +176,15 @@ def test_group_samples_satisfy_defining_equations():
     for shape in (GL5, SL5, *OSP_SHAPES):
         for t in range(10):
             pt = sample_group_point(shape, Rng(33, t), bound=6)
-            assert defining_equation_holds(shape.kind, pt.matrix)
+            assert defining_equation_holds(shape.kind, pt)
     # special linear samples are exactly unimodular
     for t in range(5):
-        assert det(sample_group_point(SL5, Rng(34, t), 6).matrix) == 1
+        assert det(sample_group_point(SL5, Rng(34, t), 6)) == 1
 
 
 def test_orthogonal_second_component():
-    g1 = sample_group_point(O6, Rng(35, 0), 5).matrix
-    g2 = sample_group_point(O6, Rng(35, 0), 5, second_component=True).matrix
+    g1 = sample_group_point(O6, Rng(35, 0), 5)
+    g2 = sample_group_point(O6, Rng(35, 0), 5, second_component=True)
     assert det(g1) == 1
     assert det(g2) == -1
     assert defining_equation_holds(GroupKind.O, g2)
@@ -194,7 +192,7 @@ def test_orthogonal_second_component():
         sample_group_point(SP4, Rng(35, 1), 5, second_component=True)
     # O(1) = {1, -1}: there the swap of coordinates 1 and n is -E, not E
     for n in (1, 2, 3):
-        g = sample_group_point(make_shape("o", n, (1,) * n), Rng(35, n), 5, second_component=True).matrix
+        g = sample_group_point(make_shape("o", n, (1,) * n), Rng(35, n), 5, second_component=True)
         assert det(g) == -1
         assert defining_equation_holds(GroupKind.O, g)
 
@@ -207,11 +205,11 @@ def test_swap_matrix_preserves_form():
 
 
 def test_sampler_determinism():
-    a = sample_group_point(SP8, Rng(36, 2), 5).matrix
-    b = sample_group_point(SP8, Rng(36, 2), 5).matrix
+    a = sample_group_point(SP8, Rng(36, 2), 5)
+    b = sample_group_point(SP8, Rng(36, 2), 5)
     assert a == b
-    c = sample_unipotent_radical(O6, Rng(36, 3), 5).matrix
-    d = sample_unipotent_radical(O6, Rng(36, 3), 5).matrix
+    c = sample_unipotent_radical(O6, Rng(36, 3), 5)
+    d = sample_unipotent_radical(O6, Rng(36, 3), 5)
     assert c == d
 
 
@@ -229,8 +227,8 @@ def test_sampling_budget_error(monkeypatch):
 def test_closure_under_conjugation():
     for shape in (GL5, SP8, O5):
         rng = Rng(38)
-        x = sample_group_point(shape, rng, 5).matrix
-        u = sample_unipotent_radical(shape, rng, 5).matrix
+        x = sample_group_point(shape, rng, 5)
+        u = sample_unipotent_radical(shape, rng, 5)
         y = inverse(u) @ x @ u
         assert defining_equation_holds(shape.kind, y)
 
@@ -289,7 +287,7 @@ def test_slice_s_support_and_invertibility():
     pattern = slice_pattern(GL5, "s")
     assert len(pattern) == 17
     for t in range(8):
-        m = sample_slice(GL5, Rng(39, t), 8, "s").matrix
+        m = sample_slice(GL5, Rng(39, t), 8, "s")
         assert det(m) != 0
         for i in range(1, 6):
             for j in range(1, 6):
@@ -300,7 +298,7 @@ def test_slice_s_support_and_invertibility():
 def test_slice_s0_support_chain_and_invertibility():
     pattern = slice_pattern(GL5, "s0")
     for t in range(8):
-        m = sample_slice(GL5, Rng(40, t), 8, "s0").matrix
+        m = sample_slice(GL5, Rng(40, t), 8, "s0")
         assert det(m) != 0
         for i in range(1, 6):
             assert m.rows[i - 1][5 - i] != 0
@@ -327,12 +325,12 @@ def test_slice_s_circ_in_group_and_ambient_pattern():
         ambient = slice_pattern(shape, "s")
         for t in range(6):
             pt = sample_slice(shape, Rng(41, t), 5, "s_circ")
-            assert pt.shape == shape
-            assert defining_equation_holds(shape.kind, pt.matrix)
+            assert (pt.nrows, pt.ncols) == (shape.n, shape.n)
+            assert defining_equation_holds(shape.kind, pt)
             for i in range(1, shape.n + 1):
                 for j in range(1, shape.n + 1):
                     if (i, j) not in ambient:
-                        assert pt.matrix.rows[i - 1][j - 1] == 0
+                        assert pt.rows[i - 1][j - 1] == 0
 
 
 def test_slice_s_circ_rejected_for_gl():
@@ -341,15 +339,16 @@ def test_slice_s_circ_rejected_for_gl():
 
 
 def test_slice_points_carry_gl_shape():
+    # S and S0 points are checked as elements of GL(n), whatever the shape's kind
     pt = sample_slice(SP8, Rng(43), 5, "s")
-    assert pt.shape.kind is GroupKind.GL
+    assert defining_equation_holds(GroupKind.GL, pt) and not defining_equation_holds(GroupKind.SP, pt)
     pt0 = sample_slice(SL5, Rng(43), 5, "s0")
-    assert pt0.shape.kind is GroupKind.GL
+    assert defining_equation_holds(GroupKind.GL, pt0) and det(pt0) != 1
 
 
 def test_adjugate_of_group_point_stays_exact():
     # sanity: adjugate of a rational Cayley point keeps the identity X X* = det X * E
-    x = sample_group_point(SP8, Rng(44), 4).matrix
+    x = sample_group_point(SP8, Rng(44), 4)
     adj = adjugate(x)
     assert x @ adj == Matrix.identity(8) * det(x)
 
@@ -382,10 +381,10 @@ def test_form_check_agrees_with_product_oracle_on_points_and_perturbations():
     for shape in FORM_SHAPES:
         for seed in (1, 2, 3):
             rng = Rng(70 + seed, shape.n)
-            points = [sample_group_point(shape, rng, 6).matrix]
+            points = [sample_group_point(shape, rng, 6)]
             if shape.kind is GroupKind.O:
-                points.append(sample_group_point(shape, rng, 6, second_component=True).matrix)
-            points.append(sample_unipotent_radical(shape, rng, 6).matrix)
+                points.append(sample_group_point(shape, rng, 6, second_component=True))
+            points.append(sample_unipotent_radical(shape, rng, 6))
             for m in points:
                 assert defining_equation_holds(shape.kind, m) and form_equation_by_product(shape.kind, m)
                 for _ in range(3):
@@ -443,6 +442,25 @@ def test_failed_group_slice_is_an_internal_error(monkeypatch):
             sample_slice(shape, Rng(77), 5, "s_circ")
 
 
+def test_every_sampler_checks_its_output(monkeypatch):
+    # a sampler that builds a non-member is at fault, whichever sampler it is
+    monkeypatch.setattr(sampling, "defining_equation_holds", lambda kind, m: False)
+    for shape in (GL5, SL5, O5, O6, SP4, make_shape("o", 4, (4,))):
+        samplers = [
+            lambda: sample_group_point(shape, Rng(78), 5),
+            lambda: sample_unipotent_radical(shape, Rng(78), 5),
+            lambda: sample_slice(shape, Rng(78), 5, "s"),
+            lambda: sample_slice(shape, Rng(78), 5, "s0"),
+        ]
+        if shape.kind is GroupKind.O:
+            samplers.append(lambda: sample_group_point(shape, Rng(78), 5, second_component=True))
+        if shape.kind in (GroupKind.O, GroupKind.SP):
+            samplers.append(lambda: sample_slice(shape, Rng(78), 5, "s_circ"))
+        for sample in samplers:
+            with pytest.raises(InternalConsistencyError):
+                sample()
+
+
 @pytest.mark.parametrize(
     "shape",
     valid_shapes(8, ("o", "sp"))
@@ -454,8 +472,8 @@ def test_parabolic_assembly_matches_the_block_product_oracles(shape):
     # slice sign is the first of +1, -1 whose written-out slice keeps the form
     sign = resolve_slice_sign(shape)
     for seed in (1, 2):
-        assert sample_unipotent_radical(shape, Rng(seed, 5), 6).matrix == radical_by_product(shape, Rng(seed, 5), 6)
-        assert sample_slice(shape, Rng(seed, 6), 6, "s_circ").matrix == group_slice_by_blocks(shape, Rng(seed, 6), 6, sign)
+        assert sample_unipotent_radical(shape, Rng(seed, 5), 6) == radical_by_product(shape, Rng(seed, 5), 6)
+        assert sample_slice(shape, Rng(seed, 6), 6, "s_circ") == group_slice_by_blocks(shape, Rng(seed, 6), 6, sign)
         keeps = [s for s in (1, -1) if defining_equation_holds(shape.kind, group_slice_by_blocks(shape, Rng(seed, 6), 6, s))]
         assert keeps[0] == sign
 
@@ -467,7 +485,7 @@ def _sampler_outputs(shape, seed):
     points.append(sample_unipotent_radical(shape, Rng(seed)))
     variants = ["s", "s0"] + (["s_circ"] if shape.kind in (GroupKind.O, GroupKind.SP) else [])
     points += [sample_slice(shape, Rng(seed), variant=v) for v in variants]
-    return [matrix_to_json(p.matrix) for p in points]
+    return [matrix_to_json(p) for p in points]
 
 
 # sha256 of the sampled points at seeds 1-3 (default bound); pins the order of

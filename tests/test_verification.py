@@ -6,7 +6,7 @@ import pytest
 
 from parinv import linalg, verification
 from parinv.cli import ACCEPTANCE_SHAPES
-from parinv.generators_gl import Generator, MinorRecipe
+from parinv.generators_gl import Generator, Recipe
 from parinv.generators_osp import build_system, eval_family
 from parinv.linalg import P, Matrix, det
 from parinv.sampling import Rng, sample_group_point
@@ -94,7 +94,7 @@ def test_independence_rank_at_identity_is_exact(monkeypatch):
 
 def _generic_point(shape, seed=21):
     for t in range(20):
-        x = sample_group_point(shape, Rng(seed, t), 10).matrix
+        x = sample_group_point(shape, Rng(seed, t), 10)
         if verification._in_generic_position(shape, x):
             return x
     raise AssertionError("no generic point found")
@@ -142,7 +142,7 @@ def _label(shape):
 def _row_scale(recipe, x: Matrix) -> Fraction:
     """The factor c_g of a generator's Jacobian row at x: 1 for a minor,
     det x for a stacked generator."""
-    return Fraction(1) if isinstance(recipe, MinorRecipe) else det(x)
+    return det(x) if recipe.adj_rows else Fraction(1)
 
 
 def _assert_rows_match_forward_mode(shape, x, exact=True):
@@ -170,14 +170,14 @@ def test_tangent_jacobian_equals_forward_mode_on_small_shapes(shape):
     # the reverse-mode gradients contracted with the tangent basis give c_g
     # times the matrices the per-direction forward loop builds, over Q and mod P
     for t in range(2):
-        x = sample_group_point(shape, Rng(81, t), 10).matrix
+        x = sample_group_point(shape, Rng(81, t), 10)
         _assert_rows_match_forward_mode(shape, x)
 
 
 @pytest.mark.parametrize("kind,n,parts", LADDER_SHAPES)
 def test_tangent_jacobian_equals_forward_mode_on_ladder_shapes(kind, n, parts):
     shape = make_shape(kind, n, parts)
-    x = sample_group_point(shape, Rng(82), 10).matrix
+    x = sample_group_point(shape, Rng(82), 10)
     _assert_rows_match_forward_mode(shape, x, exact=n < 9)
 
 
@@ -187,7 +187,7 @@ def test_tangent_jacobian_equals_forward_mode_on_ladder_shapes(kind, n, parts):
     ids=_label,
 )
 def test_orbit_rows_equal_dense_commutators(shape):
-    x = sample_group_point(shape, Rng(84), 10).matrix
+    x = sample_group_point(shape, Rng(84), 10)
     # the rows at the numerator X = d x are d times the rows at x
     assert Matrix(verification._orbit_rows(shape, x.num)) == orbit_rows_dense(shape, x) * x.den
 
@@ -199,29 +199,29 @@ def test_generator_systems_and_index_sets_are_memoised():
 
 
 def test_orbit_dimension_generic_values():
-    x = sample_group_point(GL5, Rng(70), 8).matrix
+    x = sample_group_point(GL5, Rng(70), 8)
     assert orbit_dimension(GL5, x) == 8
-    y = sample_group_point(SP4, Rng(70), 8).matrix
+    y = sample_group_point(SP4, Rng(70), 8)
     assert orbit_dimension(SP4, y) == 3
 
 
 def test_independence_rank_values():
-    x = sample_group_point(GL5, Rng(71), 8).matrix
+    x = sample_group_point(GL5, Rng(71), 8)
     assert independence_rank(GL5, x) == {
         "rank": 17, "expected": 17, "j_rank": 17, "j_expected": 17,
         "gamma0_rank": 0, "gamma0_expected": 0,
     }
-    y = sample_group_point(SL5, Rng(71), 8).matrix
+    y = sample_group_point(SL5, Rng(71), 8)
     r = independence_rank(SL5, y)
     assert (r["rank"], r["expected"]) == (16, 16)
-    z = sample_group_point(make_shape("gl", 2, (2,)), Rng(71), 8).matrix
+    z = sample_group_point(make_shape("gl", 2, (2,)), Rng(71), 8)
     assert independence_rank(make_shape("gl", 2, (2,)), z)["rank"] == 4
 
 
 def test_independence_rank_osp_families():
     for _ in range(4):
         rng = Rng(72)
-        x = sample_group_point(SP4, rng, 8).matrix
+        x = sample_group_point(SP4, rng, 8)
         r = independence_rank(SP4, x)
         if r["rank"] == 7:
             assert r["gamma0_rank"] == 3 and r["j_rank"] == 4
@@ -238,7 +238,7 @@ def test_check_invariance_passes_and_is_deterministic():
 
 def test_check_invariance_catches_broken_descriptor():
     # a coordinate that is not an invariant, disguised as a generator
-    broken = Generator(None, MinorRecipe((1,), (2,)))
+    broken = Generator(None, Recipe((1,), (), (2,)))
     result = check_invariance(GL5, seed=6, trials=30, bound=8, extra_family=[("broken", broken)])
     assert not result.passed
     ce = result.counterexample
@@ -252,7 +252,7 @@ def test_check_invariance_catches_broken_descriptor():
 def test_identity_conjugation_is_trivially_invariant():
     family = build_system(GL5).family()
     assert len(family) == 17
-    x = sample_group_point(GL5, Rng(73), 8).matrix
+    x = sample_group_point(GL5, Rng(73), 8)
     assert eval_family(family, x) == eval_family(family, x)
 
 
@@ -331,6 +331,12 @@ def test_mutated_generators_are_fresh_recipes():
     assert len(muts) >= 3
     genuine = {g.recipe for g in build_generators(GL5)}
     assert all(gen.recipe not in genuine for _, gen in muts)
+    # both row lists of a stacked J recipe end at row n, so the merged rows
+    # repeat n and no mutant can drop the adjugate and stay a minor
+    for shape in valid_shapes(8):
+        for g in build_system(shape).j:
+            if g.recipe.adj_rows:
+                assert g.recipe.x_rows[-1] == g.recipe.adj_rows[-1] == shape.n
 
 
 def test_negative_controls_fail_invariance():
@@ -425,11 +431,11 @@ def test_gamma0_rows_take_one_determinant_per_minor(monkeypatch):
         return real(rows, p)
 
     monkeypatch.setattr(verification, "det_rows", spy)
-    x = sample_group_point(shape, Rng(85), 10).matrix
+    x = sample_group_point(shape, Rng(85), 10)
     rows = verification._gamma0_rows(shape, x.num)
     system = build_system(shape)
     assert len(rows) == len(system.ratios) == 4
-    assert dets == [len(system.m0.rows)] + [len(g.recipe.rows) for g in system.ratios]
+    assert dets == [len(system.m0.x_rows)] + [len(g.recipe.x_rows) for g in system.ratios]
 
 
 @pytest.mark.parametrize("trials", [0, -1, (1 << 20) + 1])
