@@ -1,6 +1,7 @@
 """Command-line surface: stable JSON on stdout, prose on stderr.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage or input error.
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage or input error,
+3 an internal fault (a sampler built a point outside its group).
 """
 from __future__ import annotations
 
@@ -11,7 +12,14 @@ import sys
 from .generators_gl import Generator, descriptor_to_json, ratio_to_json
 from .generators_osp import build_system, eval_family
 from .linalg import matrix_from_json, matrix_to_json
-from .sampling import Rng, defining_equation_holds, sample_group_point, sample_slice, sample_unipotent_radical
+from .sampling import (
+    InternalConsistencyError,
+    Rng,
+    defining_equation_holds,
+    sample_group_point,
+    sample_slice,
+    sample_unipotent_radical,
+)
 from .shapes import FlagShape, GroupKind, ShapeError, dim_unipotent_radical, make_shape
 from .verification import orbit_dimension, run_suite
 
@@ -250,6 +258,9 @@ def main(argv=None) -> int:
     except (UsageError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

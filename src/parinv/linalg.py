@@ -31,7 +31,9 @@ of generator values.
 
 A rank does not change when the matrix or a row is multiplied by a
 nonzero number, so ``rank`` works on the numerator rows alone.  Ranks
-are certified modulo the fixed prime P = 2^61 - 1.  Every minor of the
+are certified modulo the fixed prime P = 2^30 - 35 = 1073741789, the
+largest prime below 2^30, so every residue fits one 30-bit CPython digit
+and each residue update multiplies two such digits.  Every minor of the
 integer rows reduces to the residue of that minor, so rank mod P <= rank
 over Q, and a residue rank is accepted only when it meets a proven upper
 bound on the rational rank: min(rows, cols), or, for the
@@ -267,8 +269,10 @@ def _bareiss(a: list[list[int]], ncols: int, upward: bool, p: int | None = None,
             break
         if log is not None:
             log.append([a[i][c] for i in range(r, nrows)])
-        k = next((i for i in range(r, nrows) if a[i][c]), None)
-        if k is None:
+        for k in range(r, nrows):
+            if a[k][c]:
+                break
+        else:
             continue
         if k != r:
             a[r], a[k] = a[k], a[r]
@@ -277,14 +281,21 @@ def _bareiss(a: list[list[int]], ncols: int, upward: bool, p: int | None = None,
         piv = row[c]
         if p is None:
             # every row is rescaled, a zero in the pivot column included: the
-            # next exact division relies on it
+            # next exact division relies on it; such a row is only rescaled
+            # (not at all when piv == prev), and nothing is divided by prev == 1
             for i in range(0 if upward else r + 1, nrows):
                 if i == r:
                     continue
                 x = a[i]
                 f = x[c]
                 lo = c if i > r else 0  # rows below are zero left of the pivot
-                x[lo:] = [(y * piv - f * z) // prev for y, z in zip(x[lo:], row[lo:])]
+                if not f:
+                    if piv != prev:
+                        x[lo:] = [y * piv // prev for y in x[lo:]]
+                elif prev == 1:
+                    x[lo:] = [y * piv - f * z for y, z in zip(x[lo:], row[lo:])]
+                else:
+                    x[lo:] = [(y * piv - f * z) // prev for y, z in zip(x[lo:], row[lo:])]
             prev = piv
         else:
             # the pivot row, zero left of c, is scaled to a leading 1; a row
@@ -435,7 +446,10 @@ def inverse(m: Matrix) -> Matrix:
     return _make([[x * d for x in row] for row in right], abs(last))
 
 
-P = (1 << 61) - 1  # the Mersenne prime of every residue certificate
+# the prime of every residue certificate, the largest below 2^30: every residue
+# and pivot inverse is one 30-bit CPython digit, so an update multiplies two
+# one-digit ints and reduces the two-digit product by a one-digit modulus
+P = (1 << 30) - 35
 
 
 def rank_mod_p(a: Sequence[Sequence[int]]) -> int:

@@ -9,6 +9,7 @@ streams of one seed, so reports are reproducible bit for bit.
 from __future__ import annotations
 
 import json
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -23,7 +24,7 @@ from .generators_gl import (
     s0_monomial_sign,
     s0_monomial_value,
 )
-from .generators_osp import build_system, eval_family
+from .generators_osp import _chain_slot, build_system, eval_family
 from .linalg import (
     P,
     Matrix,
@@ -487,9 +488,22 @@ def _gradients(gens: tuple[Generator, ...], x, p: int | None = None) -> list[lis
       - adj(x)[:, C] K_a adj(x)[R_a, :].
     Over Q every c_g is nonzero where a Jacobian is taken, since group points
     are invertible; so each row is a nonzero multiple of the true one and the
-    rank is unchanged.
-    Nothing is divided, so the rows mod p are the exact rows reduced, and a
+    rank is unchanged.  The rows mod p are the exact rows reduced, so a
     residue rank stays a lower bound even where some c_g vanishes mod p.
+
+    Over Q each adj(S) is one ``adjugate_rows``.  Mod p, the chain-shaped
+    recipes (``generators_osp._chain_slot``) border a chain instead.  Chain n
+    is rows n, n-1, ..., 1 of x, and J(i, j) is its leading (j-1)-block
+    bordered by row i and column j; chain m is the m trailing rows of x, then
+    rows n, n-1, ... of adj(x), and each stacked recipe is one of its nested
+    leading blocks.  From the inverse of a leading k-block A, with w = A^-1 u
+    for the next column u and a border row (v, e), the Schur complement
+    s = e - v w gives det B = s det A and B^-1 = [[A^-1 + w z, -w / s], [-z, 1 / s]]
+    with z = v A^-1 / s, in O(k^2); each chain's inverses grow the same way,
+    row by row.  Then adj(S) is the chain's sign times det(B) B^-1, its
+    columns in the chain's row order.  Bordering divides by s, so it runs on
+    residues only: a recipe whose s is 0 mod p goes to ``adjugate_rows``, and
+    once a chain's own next row meets such an s, so does the rest of the chain.
     """
     n = len(x)
 
@@ -502,24 +516,70 @@ def _gradients(gens: tuple[Generator, ...], x, p: int | None = None) -> list[lis
                 target[c - 1] = v
         return out
 
+    def bordered(inv, rows, v):
+        """(s, B^-1) mod p for B the leading k-block of rows (inverse inv)
+        bordered by row v and column k; None when s is 0 mod p."""
+        k = len(inv)
+        u = [row[k] for row in rows[:k]]
+        w = [sum(map(operator.mul, line, u)) % p for line in inv]
+        head = v[:k]
+        s = (v[k] - sum(map(operator.mul, head, w))) % p
+        if not s:
+            return None
+        si = pow(s, -1, p)
+        z = [sum(map(operator.mul, head, col)) * si % p for col in zip(*inv)]
+        grown = [[(a + c * b) % p for a, b in zip(line, z)] + [-c * si % p] for line, c in zip(inv, w)]
+        grown.append([-b % p for b in z] + [si])
+        return s, grown
+
+    adj_x = det_x = None
     if any(g.recipe.adj_rows for g in gens):
         adj_x = adjugate_rows(x, p)
         det_x = sum(v * row[0] for v, row in zip(x[0], adj_x))  # Laplace along the first row
+    adjs = {}  # generator index -> (adj(S), its columns as x rows and adj(x) rows)
+    chains: dict[int, list] = {}  # bordering runs on residues only
+    for index, g in enumerate(gens if p is not None else ()):
+        slot = _chain_slot(g.recipe, n)
+        if slot is not None:
+            key, step, offset, sign = slot[:4]
+            chains.setdefault(key, []).append((step, -offset, sign, index))
+    for key, items in chains.items():
+        # chain row t is row n - t of x for t < key, then row n + key - t of adj(x)
+        rows = [x[-1 - t] for t in range(key)] + [adj_x[-1 - t] for t in range(n - key)]
+        inv, det_a = [], 1  # the inverse and determinant of the leading block
+        for step, neg_offset, sign, index in sorted(items):
+            while len(inv) < step and (grown := bordered(inv, rows, rows[len(inv)])):
+                det_a = det_a * grown[0] % p
+                inv = grown[1]
+            if len(inv) < step:
+                break  # a leading block is singular mod p
+            grown = bordered(inv, rows, rows[step - neg_offset])
+            if grown is not None:
+                c = sign * det_a * grown[0] % p
+                order = [*range(step), step - neg_offset]
+                adjs[index] = (
+                    [[c * y % p for y in line] for line in grown[1]],
+                    tuple(n - t for t in order if t < key),
+                    tuple(n + key - t for t in order if t >= key),
+                )
     out = []
-    for g in gens:
+    for index, g in enumerate(gens):
         recipe = g.recipe
-        if not recipe.adj_rows:
-            out.append(placed(adjugate_rows(recipe_rows(recipe, x), p), recipe.cols, recipe.x_rows))
+        if index in adjs:
+            k, x_rows, adj_rows = adjs[index]
+        else:
+            k = adjugate_rows(recipe_rows(recipe, x, adj_x), p)
+            x_rows, adj_rows = recipe.x_rows, recipe.adj_rows
+        if not adj_rows:
+            out.append(placed(k, recipe.cols, x_rows))
         else:
             cols = [c - 1 for c in recipe.cols]
-            m = len(recipe.x_rows)
-            adj_a = [adj_x[r - 1] for r in recipe.adj_rows]  # adj(x)[R_a, :]
-            s = recipe_rows(recipe, x, adj_x)  # its rows from m on are adj(x)[R_a, C]
-            k = adjugate_rows(s, p)
+            m = len(x_rows)
+            adj_a = [adj_x[r - 1] for r in adj_rows]  # adj(x)[R_a, :]
             k_a = [row[m:] for row in k]
-            t = sum(v * s[m + b][a] for a, line in enumerate(k_a) for b, v in enumerate(line))
+            t = sum(v * adj_a[b][c] for c, line in zip(cols, k_a) for b, v in enumerate(line))
             chain = matmul_rows(matmul_rows([[row[c] for c in cols] for row in adj_x], k_a, p), adj_a, p)
-            k_x = placed([row[:m] for row in k], recipe.cols, recipe.x_rows)
+            k_x = placed([row[:m] for row in k], recipe.cols, x_rows)
             out.append(_reduced([
                 [det_x * u + t * a - w for u, a, w in zip(*lines)] for lines in zip(k_x, adj_x, chain)
             ], p))

@@ -192,6 +192,40 @@ class Field(NamedTuple):
     stacked: Callable  # (stacked recipe, top, bottom) -> matrix
 
 
+def bareiss_exact_reference(a, ncols, upward, log=None):
+    """The exact branch of ``linalg._bareiss`` as it stood before its row
+    updates were trimmed: every row other than the pivot row, a zero in the
+    pivot column included, takes (y * piv - f * z) // prev.  Same arguments
+    and return value; rows are eliminated in place."""
+    nrows = len(a)
+    pivots = []
+    sign = prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        if log is not None:
+            log.append([a[i][c] for i in range(r, nrows)])
+        k = next((i for i in range(r, nrows) if a[i][c]), None)
+        if k is None:
+            continue
+        if k != r:
+            a[r], a[k] = a[k], a[r]
+            sign = -sign
+        row = a[r]
+        piv = row[c]
+        for i in range(0 if upward else r + 1, nrows):
+            if i == r:
+                continue
+            x = a[i]
+            f = x[c]
+            lo = c if i > r else 0
+            x[lo:] = [(y * piv - f * z) // prev for y, z in zip(x[lo:], row[lo:])]
+        prev = piv
+        pivots.append(c)
+    return pivots, sign, prev
+
+
 def _gauss_jordan_mod_p(a):
     """(det, inverse or None) of square residue rows, by Gauss-Jordan elimination mod P."""
     n = len(a)

@@ -9,7 +9,7 @@ from parinv.cli import _build_parser, main
 from parinv.linalg import Matrix, matrix_to_json
 from parinv.generators_gl import nonvanishing_witness
 from parinv import sampling
-from parinv.sampling import InternalConsistencyError, Rng, sample_group_point
+from parinv.sampling import Rng, sample_group_point
 from parinv.shapes import IndexPair, make_shape
 
 
@@ -243,18 +243,19 @@ def test_sample_commands(capsys):
     assert code == 0
 
 
-def test_a_sampler_fault_is_not_a_usage_error(monkeypatch):
-    # a sampled non-member is an internal fault, never exit 2
+def test_a_sampler_fault_is_not_a_usage_error(monkeypatch, capsys):
+    # a sampled non-member is an internal fault: exit 3, neither a usage error
+    # (2) nor a failed check (1), one stderr line and nothing on stdout
     monkeypatch.setattr(sampling, "defining_equation_holds", lambda kind, m: False)
-    for group, n, parts, what in [
-        ("gl", "5", "1,2,2", "group"),
-        ("gl", "5", "1,2,2", "unipotent"),
-        ("gl", "5", "1,2,2", "slice-s"),
-        ("gl", "5", "1,2,2", "slice-s0"),
-        ("o", "6", "2,2,2", "slice-scirc"),
-    ]:
-        with pytest.raises(InternalConsistencyError):
-            main(["sample", "--group", group, "--n", n, "--parts", parts, "--trials", "1", "--what", what])
+    shape = ["--group", "gl", "--n", "5", "--parts", "1,2,2"]
+    runs = [["sample", *shape, "--trials", "1", "--what", what]
+            for what in ("group", "unipotent", "slice-s", "slice-s0")]
+    runs.append(["sample", "--group", "o", "--n", "6", "--parts", "2,2,2", "--trials", "1", "--what", "slice-scirc"])
+    runs.append(["verify", *shape, "--trials", "2"])
+    for argv in runs:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("internal error: ") and err.count("\n") == 1, argv
 
 
 def test_sample_determinism(capsys):

@@ -6,6 +6,7 @@ import pytest
 from parinv.linalg import (
     P,
     DimensionError,
+    _bareiss,
     Matrix,
     SingularMatrixError,
     adjugate,
@@ -27,6 +28,7 @@ from parinv.shapes import make_shape
 from oracles import (
     _gauss_jordan_mod_p,
     adjugate_cofactor,
+    bareiss_exact_reference,
     det_cofactor,
     fraction_mod_p,
     minor_cofactor,
@@ -343,6 +345,79 @@ def test_residue_kernel_matches_reduced_exact_results():
             a = matmul_rows(left, [[_sparse_int(rng) for _ in range(ncols)] for _ in range(r)])
         m = Matrix(a)
         assert rank_mod_p(a) == rank(m) == ncols - len(nullspace_basis(m)) <= r
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: the bases 2, 3, 5, 7 decide every n < 3215031751."""
+    assert n < 3215031751
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_certificate_prime_is_one_digit():
+    # every residue and pivot inverse fits one 30-bit CPython digit, and the
+    # residue kernels need a field; P is the largest such prime
+    assert P < 2**30 and _is_prime(P)
+    assert not any(_is_prime(q) for q in range(P + 1, 2**30))
+    assert [q for q in range(2, 60) if _is_prime(q)] == [q for q in range(2, 60) if all(q % d for d in range(2, q))]
+
+
+def _assert_bareiss_matches_reference(a, ncols, upward):
+    ours, theirs = [list(row) for row in a], [list(row) for row in a]
+    log, ref_log = [], []
+    assert _bareiss(ours, ncols, upward, log=log) == bareiss_exact_reference(theirs, ncols, upward, ref_log)
+    assert (ours, log) == (theirs, ref_log)
+
+
+def test_exact_bareiss_matches_the_untrimmed_loop():
+    # rows with a zero in the pivot column are only rescaled (or left alone
+    # when the pivot repeats), and nothing is divided by a previous pivot of 1:
+    # pivots, sign, last pivot, final rows and log are those of the full update
+    rng = Rng(23)
+    inputs = []
+    for k in range(60):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        entry = _sparse_int if k % 2 else (lambda r: r.randint(-9, 9))
+        inputs.append([[entry(rng) for _ in range(ncols)] for _ in range(nrows)])
+    for _ in range(10):
+        n = rng.randint(2, 5)
+        inputs.append([list(row) for row in low_rank(rng, n, n + 1, rng.randint(1, n - 1)).num])
+    # zeros in the pivot column above and below the pivot, repeated pivots
+    # (piv == prev), a pivot of 1 after others and before, row swaps
+    inputs += [
+        [[2, 0, 1], [0, 3, 0], [4, 0, 5]],
+        [[0, 1, 2], [3, 4, 5], [6, 7, 9]],
+        [[1, 0, 0, 2], [0, 1, 0, 3], [0, 0, 1, 4]],
+        [[3, 1, 0], [0, 3, 1], [0, 0, 3], [3, 0, 0]],
+        [[2, 0, 0], [0, 0, 2], [0, 2, 0], [1, 1, 1]],
+        [[1, 2, 3], [2, 4, 6], [0, 0, 1]],
+        [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+        [[5, 0, 7], [0, 0, 0], [0, 1, 0]],
+    ]
+    for a in inputs:
+        for upward in (False, True):
+            _assert_bareiss_matches_reference(a, len(a[0]), upward)
+            # the adjugate's augmented form [a | E]
+            if len(a) == len(a[0]):
+                aug = [list(row) + [int(i == j) for j in range(len(a))] for i, row in enumerate(a)]
+                _assert_bareiss_matches_reference(aug, len(a), upward)
 
 
 def test_matmul_rows_matches_matrix_product():

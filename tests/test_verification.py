@@ -181,6 +181,76 @@ def test_tangent_jacobian_equals_forward_mode_on_ladder_shapes(kind, n, parts):
     _assert_rows_match_forward_mode(shape, x, exact=n < 9)
 
 
+def _spy_adjugate_rows(monkeypatch) -> list[int]:
+    """Record the size of every matrix verification takes an adjugate of."""
+    sizes = []
+    real = verification.adjugate_rows
+
+    def spy(a, p=None):
+        sizes.append(len(a))
+        return real(a, p)
+
+    monkeypatch.setattr(verification, "adjugate_rows", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("kind,n,parts", LADDER_SHAPES)
+def test_residue_gradients_border_the_chains(kind, n, parts, monkeypatch):
+    # at the first seed-1 independence point, every J recipe's residue adjugate
+    # comes from bordering its chain: the one adjugate taken is that of x
+    shape = make_shape(kind, n, parts)
+    for attempt in range(27):
+        rng = Rng(1, verification._stream(verification._S_INDEPENDENCE, attempt))
+        x = sample_group_point(shape, rng, 10)
+        if verification._in_generic_position(shape, x):
+            break
+    sizes = _spy_adjugate_rows(monkeypatch)
+    verification._tangent_rows(shape, build_system(shape).j, x.num, P)
+    assert sizes == [n]
+
+
+def _chain_pivot_points(shape):
+    """Integer points whose chain n meets a pivot that is 0 mod P but not over Q:
+    x_n1 = P; the leading 2-minor of rows n, n-1 equal to P; x_(n-1)1 = P, the
+    minor J(n-1, 1) alone."""
+    n = shape.n
+    base = [list(row) for row in sample_group_point(shape, Rng(86), 10).num]
+    points = []
+    for edits in (
+        {(n - 1, 0): P},
+        {(n - 1, 0): 1, (n - 1, 1): 0, (n - 2, 1): P},
+        {(n - 2, 0): P},
+    ):
+        x = [list(row) for row in base]
+        for (r, c), v in edits.items():
+            x[r][c] = v
+        assert det(Matrix(x)) != 0
+        points.append(x)
+    return points
+
+
+@pytest.mark.parametrize("kind,n,parts", [("gl", 5, (1, 2, 2)), ("gl", 8, (2, 3, 3))])
+def test_chain_pivots_zero_mod_p_fall_back_to_adjugates(kind, n, parts, monkeypatch):
+    # a Schur complement that is 0 mod P sends its recipe (and the rest of its
+    # chain) to adjugate_rows: the residue rows are still the exact rows reduced,
+    # and the certified ranks are the exact ones
+    shape = make_shape(kind, n, parts)
+    gens = build_system(shape).j
+    for x in _chain_pivot_points(shape):
+        with monkeypatch.context() as m:
+            sizes = _spy_adjugate_rows(m)
+            residues = verification._tangent_rows(shape, gens, x, P)
+            assert len(sizes) > 1  # the fallback ran
+        exact = verification._tangent_rows(shape, gens, x)
+        assert residues == [[v % P for v in row] for row in exact]
+        point = Matrix(x)
+        certified = independence_rank(shape, point)
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "rank_mod_p", _no_certificate)
+            m.setattr(verification, "rank_mod_p", _no_certificate)
+            assert independence_rank(shape, point) == certified
+
+
 @pytest.mark.parametrize(
     "shape",
     [s for s in valid_shapes(5) if s.ell > 1] + [make_shape("sp", 8, (1, 2, 2, 2, 1))],
