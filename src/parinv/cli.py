@@ -96,7 +96,8 @@ def _cmd_eval(args) -> int:
         with open(args.matrix, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         m = matrix_from_json(data)
-    except (OSError, ValueError, TypeError, ZeroDivisionError) as exc:
+    except (OSError, ValueError, TypeError, ZeroDivisionError, RecursionError) as exc:
+        # a deeply nested array overflows the JSON decoder's recursion
         raise UsageError(f"cannot read matrix file: {exc}") from None
     if m.nrows != shape.n or m.ncols != shape.n:
         raise UsageError(f"matrix is {m.nrows}x{m.ncols}, shape needs {shape.n}x{shape.n}")

@@ -148,6 +148,18 @@ def test_eval_bad_file(tmp_path, capsys):
         assert out == "" and "cannot read matrix file" in err
 
 
+def test_eval_deeply_nested_file_is_an_input_error(tmp_path, capsys):
+    # the JSON decoder recurses once per level; overflowing it is bad input, not a failed check
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(
+        capsys, "eval", "--group", "gl", "--n", "2", "--parts", "1,1", "--matrix", str(path)
+    )
+    assert code == 2
+    assert out == "" and err.startswith("error: cannot read matrix file: ")
+    assert "Traceback" not in err
+
+
 # sha256 of the complete stdout, recorded before describe and eval moved
 # onto one generator system; the eval point is a fixed sampled group point
 PINNED_OUTPUT = {

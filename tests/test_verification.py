@@ -6,7 +6,6 @@ import pytest
 
 from parinv import linalg, verification
 from parinv.cli import ACCEPTANCE_SHAPES
-from parinv.generators_gl import Generator, Recipe
 from parinv.generators_osp import build_system, eval_family
 from parinv.linalg import P, Matrix, det
 from parinv.sampling import Rng, sample_group_point
@@ -20,7 +19,6 @@ from parinv.verification import (
     check_index_combinatorics,
     check_invariance,
     check_monomial_restriction,
-    check_negative_controls,
     check_nonvanishing,
     check_orbit_dimension,
     check_slice_support,
@@ -302,21 +300,8 @@ def test_independence_rank_osp_families():
 def test_check_invariance_passes_and_is_deterministic():
     a = check_invariance(GL5, seed=5, trials=8, bound=8)
     b = check_invariance(GL5, seed=5, trials=8, bound=8)
-    assert a.passed and b.passed
-    assert a.to_json_obj() == b.to_json_obj()
-
-
-def test_check_invariance_catches_broken_descriptor():
-    # a coordinate that is not an invariant, disguised as a generator
-    broken = Generator(None, Recipe((1,), (), (2,)))
-    result = check_invariance(GL5, seed=6, trials=30, bound=8, extra_family=[("broken", broken)])
-    assert not result.passed
-    ce = result.counterexample
-    assert ce is not None
-    assert ce["generator"] == "broken"
-    assert ce["value_at_x"] != ce["value_at_conjugate"]
-    # the counterexample is replayable: matrices are serialized in full
-    assert len(ce["x"]) == 5 and len(ce["g"]) == 5
+    assert a[0].passed and b[0].passed
+    assert [r.to_json_obj() for r in a] == [r.to_json_obj() for r in b]
 
 
 def test_identity_conjugation_is_trivially_invariant():
@@ -411,8 +396,8 @@ def test_mutated_generators_are_fresh_recipes():
 
 def test_negative_controls_fail_invariance():
     for shape in (GL5, SP4):
-        result = check_negative_controls(shape, seed=13, trials=40, bound=8)
-        assert result.passed
+        invariance, result = check_invariance(shape, seed=13, trials=40, bound=8)
+        assert invariance.passed and result.passed
         assert result.details["broken"] >= 3
 
 
@@ -427,43 +412,63 @@ def test_stream_slices_are_disjoint():
             verification._stream(verification._S_INVARIANCE, trial)
 
 
-def _negative_stream(t):
-    return verification._stream(verification._S_NEGATIVE, t)
+def _invariance_stream(t):
+    return verification._stream(verification._S_INVARIANCE, t)
 
 
 def test_negative_controls_match_the_per_mutant_oracle():
+    # the negative controls ride on the invariance pairs
     shapes = valid_shapes(5) + [make_shape(kind, n, parts) for kind, n, parts in ACCEPTANCE_SHAPES]
     for shape in shapes:
-        want = negative_controls_per_mutant(shape, mutated_generators(shape), 1, 25, 10, _negative_stream)
-        assert check_negative_controls(shape, seed=1, trials=25, bound=10).details == want
+        want = negative_controls_per_mutant(shape, mutated_generators(shape), 1, 25, 10, _invariance_stream)
+        assert check_invariance(shape, seed=1, trials=25, bound=10)[1].details == want
 
 
-def test_negative_controls_draw_pairs_only_while_a_mutant_is_unbroken(monkeypatch):
-    draws = []
+def _spy_families(monkeypatch) -> list[tuple[list[str], list]]:
+    """Record the labels and values of every family verification evaluates."""
+    calls = []
+    real = verification.eval_family
 
-    def spy(shape, rng, bound, second_component=False):
-        draws.append(rng.stream)
-        return sample_group_point(shape, rng, bound, second_component=second_component)
+    def spy(family, point):
+        values = real(family, point)
+        calls.append(([label for label, _ in family], values))
+        return values
 
-    monkeypatch.setattr(verification, "sample_group_point", spy)
+    monkeypatch.setattr(verification, "eval_family", spy)
+    return calls
+
+
+def test_mutants_are_evaluated_only_while_unbroken(monkeypatch):
+    calls = _spy_families(monkeypatch)
     # (shape, seed, bound, pairs after which every mutant is broken, or all 40)
     cases = [
-        (make_shape("gl", 3, (1, 1, 1)), 1, 1, 5),
-        (make_shape("sp", 4, (1, 2, 1)), 1, 1, 4),
+        (make_shape("gl", 3, (1, 1, 1)), 1, 1, 4),
+        (SP4, 1, 1, 6),
         (make_shape("gl", 2, (1, 1)), 1, 10, 1),
         (GL5, 13, 8, 40),  # two mutants stay invariant
         (make_shape("gl", 1, (1,)), 1, 10, 0),  # no mutants
     ]
     for shape, seed, bound, needed in cases:
+        family = [label for label, _ in build_system(shape).family()]
         mutants = mutated_generators(shape)
-        broken = [
-            negative_controls_per_mutant(shape, mutants, seed, t, bound, _negative_stream)["broken"]
-            for t in (needed - 1, needed)
-        ]
-        assert (broken[0] < len(mutants) or needed == 0) and (broken[1] == len(mutants) or needed == 40)
-        draws.clear()
-        assert check_negative_controls(shape, seed=seed, trials=40, bound=bound).details["broken"] == broken[1]
-        assert draws == [_negative_stream(t) for t in range(needed)]
+        want = negative_controls_per_mutant(shape, mutants, seed, 40, bound, _invariance_stream)
+        calls.clear()
+        invariance, result = check_invariance(shape, seed=seed, trials=40, bound=bound)
+        assert invariance.passed and result.details == want
+        # one family at x and one at g^-1 x g per pair, every generator at every pair
+        assert len(calls) == 80 and all(labels[:len(family)] == family for labels, _ in calls)
+        unbroken = [label for label, _ in mutants]
+        for t, ((at_x, vx), (at_y, vy)) in enumerate(zip(calls[::2], calls[1::2])):
+            assert at_x == at_y == family + unbroken
+            assert bool(unbroken) == (t < needed)
+            unbroken = [label for k, label in enumerate(at_x) if k >= len(family) and vx[k] == vy[k]]
+    # the second component has no negative controls
+    o6 = make_shape("o", 6, (2, 2, 2))
+    calls.clear()
+    invariance, result = check_invariance(o6, seed=1, trials=8, bound=10, second_component=True)
+    assert invariance.passed and result is None
+    family = [label for label, _ in build_system(o6).family()]
+    assert len(calls) == 16 and all(labels == family for labels, _ in calls)
 
 
 def test_independence_checks_pass():
@@ -552,12 +557,36 @@ def test_run_suite_reports_slice_sign_for_osp():
     assert report.s_circ_sign == -1
 
 
-def test_run_suite_inject_mutation_fails_with_counterexample():
+def test_run_suite_inject_mutation_fails_with_counterexample(monkeypatch):
     report = run_suite(GL5, seed=3, trials=25, bound=8, inject_mutation=True)
     assert not report.passed
     failing = [c for c in report.checks if not c.passed]
     assert [c.name for c in failing] == ["invariance"]
-    assert failing[0].counterexample["generator"].startswith("injected:")
+    mutants = mutated_generators(GL5)
+    assert failing[0].details == {"trials": 25, "generators": 17 + len(mutants)}
+    ce = failing[0].counterexample
+    label = ce["generator"].removeprefix("injected:")
+    assert ce["generator"] == f"injected:{label}"
+    # the first mutant, in pool order, to break at the first trial where any breaks
+    before, at = (
+        negative_controls_per_mutant(GL5, mutants, 3, t, 8, _invariance_stream)["outcomes"]
+        for t in (ce["trial"], ce["trial"] + 1)
+    )
+    assert not any(o["fails_invariance"] for o in before)
+    assert next(o["mutation"] for o in at if o["fails_invariance"]) == label
+    # the counterexample replays: x and g are serialized in full
+    x, g = linalg.matrix_from_json(ce["x"]), linalg.matrix_from_json(ce["g"])
+    assert (x.nrows, g.nrows) == (5, 5)
+    named = [(label, dict(mutants)[label])]
+    values = eval_family(named, x) + eval_family(named, linalg.inverse(g) @ x @ g)
+    assert [str(v) for v in values] == [ce["value_at_x"], ce["value_at_conjugate"]]
+    assert values[0] != values[1]
+    # past the counterexample, pairs are drawn only while some mutant is unbroken:
+    # every Sp(4) mutant is broken after 6 pairs at bound 1
+    calls = _spy_families(monkeypatch)
+    invariance, result = check_invariance(SP4, seed=1, trials=40, bound=1, inject_mutation=True)
+    assert invariance.counterexample["trial"] < 5 and result.details["broken"] == result.details["mutants"]
+    assert len(calls) == 12
 
 
 # every (shape, check) pair that fails in the sweep of all valid shapes with
