@@ -6,7 +6,7 @@ canonical and equality and hashing compare integers.  Arithmetic
 (``+``, ``-``, scalar ``*``, ``@``, transposes, submatrices, blocks)
 runs on the integers; the ``fractions.Fraction`` entries (``rows``) are
 built on first access and cached, for JSON and for callers that read
-entries.  Scalars returned (determinants, minors) are Fractions.  This
+entries.  Determinants are returned as Fractions.  This
 is the common-denominator form of rational matrices (FLINT's
 ``fmpq_mat`` to ``fmpz_mat``).
 
@@ -134,11 +134,6 @@ class Matrix:
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
         return _make([[0] * ncols for _ in range(nrows)], 1)
-
-    @classmethod
-    def unit(cls, n: int, i: int, j: int) -> "Matrix":
-        """Matrix unit E_ij (1-based indices)."""
-        return _make([[int(r == i - 1 and c == j - 1) for c in range(n)] for r in range(n)], 1)
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence["Matrix"]]) -> "Matrix":
@@ -399,26 +394,6 @@ def adjugate(m: Matrix) -> Matrix:
     if not m.nrows:
         return m
     return _make(adjugate_rows(m.num), m.den ** (m.nrows - 1))
-
-
-def _check_index_lists(m: Matrix, row_list: Sequence[int], col_list: Sequence[int]):
-    if len(row_list) != len(col_list):
-        raise DimensionError(f"row/column lists differ in length: {len(row_list)} vs {len(col_list)}")
-    for name, lst, bound in (("row", row_list, m.nrows), ("column", col_list, m.ncols)):
-        if len(set(lst)) != len(lst):
-            raise DimensionError(f"duplicate {name} indices in {list(lst)}")
-        for i in lst:
-            if not 1 <= i <= bound:
-                raise DimensionError(f"{name} index {i} out of range 1..{bound}")
-
-
-def minor(m: Matrix, row_list: Sequence[int], col_list: Sequence[int]) -> Fraction:
-    """Determinant of the submatrix at 1-based rows/cols, in the listed order.
-
-    The order is significant: permuting a list flips the sign accordingly.
-    """
-    _check_index_lists(m, row_list, col_list)
-    return det(m.submatrix([i - 1 for i in row_list], [j - 1 for j in col_list]))
 
 
 def rank(m: Matrix) -> int:

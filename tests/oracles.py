@@ -364,7 +364,8 @@ def tangent_directions(shape, point, f):
     E_ij (row-major) for GL, point @ A over the Lie basis otherwise."""
     n = shape.n
     if shape.kind is GroupKind.GL:
-        return [f.reduce(Matrix.unit(n, i, j)) for i in range(1, n + 1) for j in range(1, n + 1)]
+        units = ([[int((r, c) == (i, j)) for c in range(n)] for r in range(n)] for i in range(n) for j in range(n))
+        return [f.reduce(Matrix(rows)) for rows in units]
     return [f.matmul(point, f.reduce(a)) for a in dense_lie_basis(shape, "group")]
 
 

@@ -18,7 +18,6 @@ from parinv.linalg import (
     matmul_rows,
     matrix_from_json,
     matrix_to_json,
-    minor,
     rank,
     rank_mod_p,
 )
@@ -31,7 +30,6 @@ from oracles import (
     bareiss_exact_reference,
     det_cofactor,
     fraction_mod_p,
-    minor_cofactor,
     nullspace_basis,
     rank_cofactor,
 )
@@ -166,43 +164,6 @@ def test_adjugate_of_witness_is_anti_triangular():
             elif i + j > n + 1:
                 assert adj.rows[i - 1][j - 1] == 0
     assert [list(r) for r in adj.rows] == adjugate_cofactor([list(r) for r in WITNESS_5.rows])
-
-
-def test_minor_basic():
-    assert minor(Matrix([[7]]), [1], [1]) == 7
-    assert minor(Matrix.identity(2), [2, 1], [1, 2]) == -1
-
-
-def test_minor_fixed_value():
-    # rows {2} u [4,5] against the column segment [1,3]
-    got = minor(FIXED_5, [2, 4, 5], [1, 2, 3])
-    assert got == minor_cofactor(FIXED_5, [2, 4, 5], [1, 2, 3]) == 26
-
-
-def test_minor_empty_selection_is_one():
-    assert minor(FIXED_5, [], []) == 1
-
-
-def test_minor_row_permutation_flips_sign():
-    rng = Rng(14)
-    for _ in range(10):
-        m = random_matrix(rng, 5)
-        rows = [2, 4, 5]
-        cols = [1, 3, 4]
-        base = minor(m, rows, cols)
-        assert minor(m, [4, 2, 5], cols) == -base
-        assert minor(m, [5, 4, 2], cols) == -base
-
-
-def test_minor_errors():
-    with pytest.raises(DimensionError):
-        minor(FIXED_5, [1, 1], [1, 2])
-    with pytest.raises(DimensionError):
-        minor(FIXED_5, [1, 2], [1])
-    with pytest.raises(DimensionError):
-        minor(FIXED_5, [0, 1], [1, 2])
-    with pytest.raises(DimensionError):
-        minor(FIXED_5, [1, 6], [1, 2])
 
 
 def test_rank_and_nullspace_trivialities():

@@ -1,14 +1,16 @@
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from parinv import linalg, verification
 from parinv.cli import ACCEPTANCE_SHAPES
+from parinv.generators_gl import Generator, Recipe
 from parinv.generators_osp import build_system, eval_family
 from parinv.linalg import P, Matrix, det
-from parinv.sampling import Rng, sample_group_point
+from parinv.sampling import Rng, anti_identity, sample_group_point, slice_pattern
 from parinv.shapes import index_set, make_shape
 from parinv.verification import (
     check_adjugate_minor_lemma,
@@ -312,22 +314,79 @@ def test_identity_conjugation_is_trivially_invariant():
 
 
 def test_adjugate_minor_lemma_check():
-    for n in (4, 5, 6):
-        shape = make_shape("gl", n, (n,))
-        result = check_adjugate_minor_lemma(shape, seed=7, trials=10, bound=8)
+    for shape in (make_shape("gl", 4, (4,)), GL5, SL5, O5, SP4, make_shape("sp", 8, (1, 2, 2, 2, 1))):
+        result = check_adjugate_minor_lemma(shape)
         assert result.passed, result.counterexample
+        stacked = sum(1 for g in build_system(shape).j if g.recipe.adj_rows)
+        assert result.details == {"n": shape.n, "row_sets": shape.n + stacked}
+
+
+def test_closure_names_the_first_operation_leaving_a_row_set():
+    borel = [(1, 2), (1, 3), (2, 3)]
+    assert verification._closed({1, 3}, borel) == (1, 2)
+    assert verification._closed({2}, borel) == (2, 3)
+    assert all(verification._closed(set(range(a, 4)), borel) is None for a in (1, 2, 3, 4))
+
+
+def test_adjugate_minor_lemma_flags_stacked_rows_off_the_trailing_run(monkeypatch):
+    system = build_system(GL5)
+    k = next(k for k, g in enumerate(system.j) if g.recipe.adj_rows)
+    recipe = system.j[k].recipe
+    shifted = tuple(r - 1 for r in recipe.adj_rows)  # ends at row 4, so row 5 is outside
+    j = list(system.j)
+    j[k] = Generator(j[k].pair, Recipe(recipe.x_rows, shifted, recipe.cols))
+    monkeypatch.setattr(verification, "build_system", lambda shape: replace(system, j=tuple(j)))
+    result = check_adjugate_minor_lemma(GL5)
+    assert not result.passed
+    assert result.counterexample == {"rows": list(shifted), "operation": [shifted[0], 5]}
+
+
+def test_sampled_bruhat_products_are_invertible_on_the_pattern():
+    """The sampled statement behind the Bruhat check: N_L w0 B, for N_L on
+    the diagonal and same-block upper positions and B invertible upper
+    triangular, is invertible and nonzero only on the slice pattern."""
+    for shape in (GL5, SL5, make_shape("gl", 6, (3, 3)), make_shape("gl", 6, (1, 2, 3))):
+        n = shape.n
+        pattern = slice_pattern(shape, "s")
+        for t in range(25):
+            rng = Rng(9, t)
+            levi = [[int(r == c) for c in range(n)] for r in range(n)]
+            upper = [[0] * n for _ in range(n)]
+            for i in range(n):
+                upper[i][i] = rng.nonzero_int(8)
+                for j in range(i + 1, n):
+                    upper[i][j] = rng.randint(-8, 8)
+                    if shape.block_of(i + 1) == shape.block_of(j + 1):
+                        levi[i][j] = rng.randint(-8, 8)
+            m = Matrix(levi) @ anti_identity(n) @ Matrix(upper)
+            assert det(m) != 0
+            assert {(i, j) for i, row in enumerate(m.num, 1) for j, v in enumerate(row, 1) if v} <= pattern
+
+
+def test_bruhat_containment_check():
+    for shape in (GL5, SL5, make_shape("gl", 6, (3, 3)), make_shape("gl", 1, (1,))):
+        result = check_bruhat_containment(shape)
+        assert result.passed and result.counterexample is None
+        assert result.details == {"off_pattern": [], "unfilled": []}
+
+
+@pytest.mark.parametrize("change", ["gain", "lose"])
+def test_bruhat_containment_fails_off_the_exact_pattern(monkeypatch, change):
+    pattern = slice_pattern(GL5, "s")
+    outside = min({(i, j) for i in range(1, 6) for j in range(1, 6)} - pattern)
+    moved = outside if change == "gain" else min(pattern)
+    monkeypatch.setattr(verification, "slice_pattern", lambda shape, variant: pattern ^ {moved})
+    result = check_bruhat_containment(GL5)
+    assert not result.passed
+    if change == "gain":
+        assert result.details == {"off_pattern": [], "unfilled": [moved]}
+    else:
+        assert result.details == {"off_pattern": [moved], "unfilled": []}
 
 
 def test_monomial_restriction_check():
     assert check_monomial_restriction(GL5, seed=8, bound=9).passed
     assert check_monomial_restriction(SL5, seed=8, bound=9).passed
-
-
-def test_bruhat_containment_check():
-    assert check_bruhat_containment(GL5, seed=9, trials=10, bound=8).passed
-    assert check_bruhat_containment(make_shape("gl", 6, (3, 3)), seed=9, trials=10, bound=8).passed
-    with pytest.raises(ValueError):  # its nonzero diagonal draws need bound >= 1
-        check_bruhat_containment(GL5, seed=9, trials=1, bound=0)
 
 
 def test_slice_support_check():
@@ -538,9 +597,9 @@ def test_run_suite_passes_and_is_byte_deterministic():
 
 
 # sha256 of the canonical reports of the acceptance shapes at seed 1, trials
-# 5 (one line each, newline-terminated), recorded before det, adjugate,
-# inverse, rank and nullspace moved onto one fraction-free elimination
-PINNED_REPORTS_SHA256 = "937923d6f7ed0f141d3a3f20f1d0ff95ed22c91ddf45f6d77bd334f5661372c8"
+# 5 (one line each, newline-terminated), recorded when the adjugate-minor
+# lemma and the Bruhat containment became proofs on supports
+PINNED_REPORTS_SHA256 = "1c5130cb886655ed2679f912bf6e594e7167ce619a419abea790beef74c7f5c5"
 
 
 def test_acceptance_reports_are_pinned():
@@ -603,9 +662,9 @@ SWEEP_FAILURES = {
     )
 } | {"o2-1-1 independence_rank"}
 # sha256 of the canonical reports of that sweep, in valid_shapes order (one
-# line each, newline-terminated), recorded before the tangent Jacobians and
-# orbit rows moved onto integer rows
-PINNED_SWEEP_SHA256 = "ddc54929aed5817987b45dba67d48d42792331140f575c13ea53a74c9b0368f2"
+# line each, newline-terminated), recorded when the adjugate-minor lemma and
+# the Bruhat containment became proofs on supports
+PINNED_SWEEP_SHA256 = "aa5365fd94987b6a2e19ce0b996d364db1f8b9be0a996f5039340cd7e479932d"
 
 
 def test_sweep_failures_and_reports_are_pinned():
