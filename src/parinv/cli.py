@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .generators_gl import Generator, descriptor_to_json, ratio_to_json
@@ -39,17 +40,28 @@ class UsageError(Exception):
     pass
 
 
+def _integer(text: str) -> int:
+    """A plain decimal integer, the one integer syntax of every flag (int() alone
+    would also read "1_2", " 5" and other scripts' digits)."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"not a plain decimal integer: {text!r}")
+    try:
+        return int(text)
+    except ValueError as exc:  # more digits than the interpreter converts
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_parts(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
+        return tuple(_integer(p) for p in text.split(","))
+    except argparse.ArgumentTypeError:
         raise UsageError(f"cannot parse composition {text!r}; expected e.g. 1,2,2") from None
 
 
 def _int_in(lo: int, hi: int | None = None):
     """Argument type of an integer in the closed range [lo, hi], unbounded above without hi."""
     def int_in_range(text: str) -> int:
-        value = int(text)
+        value = _integer(text)
         if value < lo or (hi is not None and value > hi):
             raise argparse.ArgumentTypeError(f"must be in [{lo}, {'inf' if hi is None else hi}], got {value}")
         return value
@@ -211,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         if shape:
             p.add_argument("--group", choices=[k.value for k in GroupKind])
-            p.add_argument("--n", type=int)
+            p.add_argument("--n", type=_integer)
             p.add_argument("--parts", type=str, help="comma-separated composition, e.g. 1,2,2")
         if sampled:
             p.add_argument("--seed", type=_int_in(0, (1 << 64) - 1), default=1)

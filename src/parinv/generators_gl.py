@@ -122,41 +122,32 @@ def nonvanishing_witness(shape: FlagShape, pair: IndexPair) -> Matrix:
     return Matrix(rows)
 
 
+def s0_monomial_positions(n: int, pair: IndexPair) -> tuple[tuple[int, int], ...]:
+    """1-based positions of the chain monomial of an upper pair (i + j <= n + 1):
+    the anti-diagonal chain (n, 1), (n - 1, 2), ..., (n + 2 - j, j - 1), then (i, j)."""
+    i, j = pair
+    return tuple((n + 1 - t, t) for t in range(1, j)) + ((i, j),)
+
+
 def s0_monomial_sign(shape: FlagShape, gen: Generator) -> int:
     """Sign of the generator's restriction to the flattened slice S0.
 
-    On S0 a generator above the anti-diagonal collapses to
-    sign * s_{n,1} s_{n-1,2} ... s_{j'+1,j-1} s_{ij}; evaluating at the
+    On S0 a generator above the anti-diagonal collapses to sign times the
+    product of the entries at ``s0_monomial_positions``; evaluating at the
     indicator point with ones on exactly those positions isolates the sign.
     ``gen`` is the generator of its pair in ``build_generators``.
     """
     n = shape.n
     pair = gen.pair
-    i, j = pair
-    if i + j > n + 1:
+    if pair.i + pair.j > n + 1:
         raise ShapeError(f"pair {pair} is below the anti-diagonal")
     rows = [[0] * n for _ in range(n)]
-    for t in range(1, j):
-        rows[n - t][t - 1] = 1
-    rows[i - 1][j - 1] = 1
+    for r, c in s0_monomial_positions(n, pair):
+        rows[r - 1][c - 1] = 1
     value = eval_generator(gen, Matrix(rows))
     if value * value != 1:
         raise AssertionError(f"indicator evaluation should be a sign, got {value}")
     return int(value)
-
-
-def s0_monomial_value(sign: int, pair: IndexPair, point: Matrix) -> Fraction:
-    """The monomial the pair's generator equals on the slice S0, times its sign.
-
-    ``sign`` is ``s0_monomial_sign(shape, gen)``, computed once per generator.
-    """
-    n = point.nrows
-    i, j = pair
-    num = point.num
-    value = sign * num[i - 1][j - 1]
-    for t in range(1, j):
-        value *= num[n - t][t - 1]
-    return Fraction(value, point.den ** j)
 
 
 def _recipe_json(recipe: Recipe) -> dict:

@@ -9,9 +9,10 @@ paths; the cofactor expansions work over any commutative ring.
 import operator
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from typing import Callable, NamedTuple
 
-from parinv.generators_gl import eval_generator
+from parinv.generators_gl import eval_generator, s0_monomial_positions, s0_monomial_sign
 from parinv.linalg import P, Matrix, adjugate, adjugate_rows, det, inverse
 from parinv import sampling
 from parinv.sampling import (
@@ -76,6 +77,13 @@ def eval_descriptor_cofactor(gen, m: Matrix, adj=None):
     rows = [[m.rows[r - 1][c - 1] for c in recipe.cols] for r in recipe.x_rows]
     rows += [[adj[r - 1][c - 1] for c in recipe.cols] for r in recipe.adj_rows]
     return det_cofactor(rows)
+
+
+def s0_chain_monomial(shape, gen, m: Matrix) -> Fraction:
+    """The value an upper generator must take at a point m of the flattened
+    slice S0: its sign times the entries of m at its chain positions."""
+    chain = s0_monomial_positions(shape.n, gen.pair)
+    return s0_monomial_sign(shape, gen) * prod(m.rows[r - 1][c - 1] for r, c in chain)
 
 
 def rank_cofactor(m: Matrix) -> int:

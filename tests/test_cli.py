@@ -307,11 +307,21 @@ def test_unknown_flag_is_rejected():
         # a check's stream slice holds 2^20 trials
         ["verify", *shape, "--trials", str((1 << 20) + 1)],
         ["selftest", "--trials", str((1 << 20) + 1)],
+        # integers are plain decimals: int() alone would also read 1_2, " 5" or other scripts' digits
+        ["describe", "--group", "gl", "--n", "1_2", "--parts", "1_1,1"],
+        ["describe", "--group", "gl", "--n", " 5", "--parts", "5"],
+        ["sample", *shape, "--seed", "1_0"],
+        ["sample", *shape, "--bound", " 5"],
+        ["orbit-dim", *shape, "--points", "\uff13"],
+        ["describe", "--group", "gl", "--n", "1" * 5000, "--parts", "2"],
     ]
     for argv in bad:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+    for parts in ("1_1,1", " 11,1", "11,1 ", "11,\uff11", "1" * 5000):
+        assert main(["describe", "--group", "gl", "--n", "12", "--parts", parts]) == 2, parts
+    assert main(["describe", "--group", "gl", "--n", "+2", "--parts", "+1,1"]) == 0
     assert main(["sample", *shape, "--seed", str((1 << 64) - 1), "--trials", "1"]) == 0
     assert main(["sample", *shape, "--bound", str((1 << 63) - 1), "--trials", "1"]) == 0
     parse = _build_parser().parse_args

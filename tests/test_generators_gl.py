@@ -11,7 +11,6 @@ from parinv.generators_gl import (
     nonvanishing_witness,
     recipe_rows,
     s0_monomial_sign,
-    s0_monomial_value,
 )
 from parinv.generators_osp import build_system, eval_family
 from parinv.linalg import P, Matrix, adjugate, det, inverse
@@ -24,6 +23,7 @@ from oracles import (
     derivative_at_zero,
     eval_descriptor_cofactor,
     fraction_mod_p,
+    s0_chain_monomial,
     trace_pairing,
 )
 
@@ -211,7 +211,7 @@ def test_monomial_restriction_on_flattened_slice():
     for t in range(10):
         m = sample_slice(GL5, Rng(55, t), 9, "s0")
         for g in gens:
-            assert eval_generator(g, m) == s0_monomial_value(s0_monomial_sign(GL5, g), g.pair, m)
+            assert eval_generator(g, m) == s0_chain_monomial(GL5, g, m)
 
 
 def test_pinned_sign_for_pair_2_3():

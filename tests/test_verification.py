@@ -7,10 +7,10 @@ import pytest
 
 from parinv import linalg, verification
 from parinv.cli import ACCEPTANCE_SHAPES
-from parinv.generators_gl import Generator, Recipe
+from parinv.generators_gl import Generator, Recipe, build_generators
 from parinv.generators_osp import build_system, eval_family
 from parinv.linalg import P, Matrix, det
-from parinv.sampling import Rng, anti_identity, sample_group_point, slice_pattern
+from parinv.sampling import Rng, anti_identity, sample_group_point, sample_slice, slice_pattern
 from parinv.shapes import index_set, make_shape
 from parinv.verification import (
     check_adjugate_minor_lemma,
@@ -37,6 +37,7 @@ from oracles import (
     fraction_mod_p,
     negative_controls_per_mutant,
     orbit_rows_dense,
+    s0_chain_monomial,
     tangent_directions,
     valid_shapes,
 )
@@ -385,15 +386,76 @@ def test_bruhat_containment_fails_off_the_exact_pattern(monkeypatch, change):
 
 
 def test_monomial_restriction_check():
-    assert check_monomial_restriction(GL5, seed=8, bound=9).passed
-    assert check_monomial_restriction(SL5, seed=8, bound=9).passed
+    for shape, upper in ((GL5, 7), (SL5, 6), (make_shape("gl", 8, (2, 3, 3)), 15), (make_shape("gl", 1, (1,)), 1)):
+        result = check_monomial_restriction(shape)
+        assert result.passed and result.counterexample is None
+        assert result.details == {"upper_generators": upper}
+
+
+def test_forced_matching_is_the_only_matching_or_none():
+    full = {(r, c) for r in (1, 2) for c in (1, 2)}
+    assert verification._forced_matching((1, 2), (1, 2), full) is None
+    assert verification._forced_matching((1, 2), (1, 2), full - {(1, 2)}) == {(1, 1), (2, 2)}
+    assert verification._forced_matching((1, 2), (1, 2), {(1, 1), (2, 1)}) is None
+
+
+def _patched_pattern(monkeypatch, variant, change):
+    """Patch verification's slice_pattern so that the variant's pattern is xor'ed with change."""
+    real = verification.slice_pattern
+    monkeypatch.setattr(
+        verification, "slice_pattern", lambda shape, v: real(shape, v) ^ change if v == variant else real(shape, v)
+    )
+
+
+def test_monomial_restriction_names_a_pair_with_a_second_matching(monkeypatch):
+    # (5, 2) on S0 gives row 5 of J(4, 2) a second column, so rows 4, 5 both see columns 1, 2
+    _patched_pattern(monkeypatch, "s0", {(5, 2)})
+    result = check_monomial_restriction(GL5)
+    assert not result.passed
+    assert result.counterexample == {"pair": [4, 2], "matching": None}
+
+
+def test_sampled_flattened_slice_points_take_the_chain_monomials():
+    """The sampled statement behind the monomial proof: at points of S0,
+    each upper generator equals its signed chain monomial."""
+    for shape in (GL5, SL5, make_shape("gl", 8, (2, 3, 3))):
+        sigma0 = index_set(shape).sigma0
+        upper = [(str(g.pair), g) for g in build_generators(shape) if g.pair in sigma0]
+        for t in range(20):
+            m = sample_slice(shape, Rng(8, t), 9, variant="s0")
+            assert eval_family(upper, m) == [s0_chain_monomial(shape, g, m) for _, g in upper]
 
 
 def test_slice_support_check():
-    assert check_slice_support(GL5, seed=10, bound=9).passed
-    result = check_slice_support(SP4, seed=10, bound=9)
-    assert result.passed
-    assert result.details["s_circ_sign"] == -1
+    for shape, sign in ((GL5, None), (SL5, None), (SP4, -1), (O5, 1), (make_shape("o", 6, (2, 2, 2)), 1)):
+        result = check_slice_support(shape)
+        assert result.passed
+        assert result.details == ({"problems": []} if sign is None else {"s_circ_sign": sign, "problems": []})
+
+
+_OFF_O5 = min({(i, j) for i in range(1, 6) for j in range(1, 6)} - slice_pattern(O5, "s"))
+
+
+@pytest.mark.parametrize("variant, moved, problem", [
+    ("s0", (1, 5), "the flattened slice pattern misses part of the anti-diagonal chain"),
+    ("s0", _OFF_O5, "the flattened slice pattern leaves the slice pattern"),
+    ("s", _OFF_O5, "the group slice F p does not fill the slice pattern exactly"),
+])
+def test_slice_support_fails_off_the_patterns(monkeypatch, variant, moved, problem):
+    # S0 loses the chain position (1, 5) or gains one off S; S gains one that F p never fills
+    _patched_pattern(monkeypatch, variant, {moved})
+    result = check_slice_support(O5)
+    assert not result.passed
+    assert result.details == {"s_circ_sign": 1, "problems": [problem]}
+
+
+def test_support_proofs_pass_on_every_small_shape():
+    shapes = list(valid_shapes(8))
+    assert len(shapes) == 585
+    for shape in shapes:
+        assert check_slice_support(shape).passed, shape
+        if shape.kind.value in ("gl", "sl"):
+            assert check_monomial_restriction(shape).passed, shape
 
 
 def test_index_and_count_checks():
@@ -597,9 +659,9 @@ def test_run_suite_passes_and_is_byte_deterministic():
 
 
 # sha256 of the canonical reports of the acceptance shapes at seed 1, trials
-# 5 (one line each, newline-terminated), recorded when the adjugate-minor
-# lemma and the Bruhat containment became proofs on supports
-PINNED_REPORTS_SHA256 = "1c5130cb886655ed2679f912bf6e594e7167ce619a419abea790beef74c7f5c5"
+# 5 (one line each, newline-terminated), recorded when the monomial
+# restriction and the slice supports became proofs on supports
+PINNED_REPORTS_SHA256 = "3008d93b7b4384a6cdd8de091fb1941457e4f24ada87e9b1d1d2674310f21ed7"
 
 
 def test_acceptance_reports_are_pinned():
@@ -662,9 +724,9 @@ SWEEP_FAILURES = {
     )
 } | {"o2-1-1 independence_rank"}
 # sha256 of the canonical reports of that sweep, in valid_shapes order (one
-# line each, newline-terminated), recorded when the adjugate-minor lemma and
-# the Bruhat containment became proofs on supports
-PINNED_SWEEP_SHA256 = "aa5365fd94987b6a2e19ce0b996d364db1f8b9be0a996f5039340cd7e479932d"
+# line each, newline-terminated), recorded when the monomial restriction and
+# the slice supports became proofs on supports
+PINNED_SWEEP_SHA256 = "37fd6fe0852ac863ea6abf2d5b34cced79011cbf41e70a8e315488bcddcf3be0"
 
 
 def test_sweep_failures_and_reports_are_pinned():
