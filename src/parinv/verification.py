@@ -62,7 +62,7 @@ _S_ORBIT = 7
 _S_INDEPENDENCE = 8
 _S_WITNESS = 9
 
-_RANK_POINTS = 3  # sampled points of the orbit-dimension and independence checks
+_RANK_ATTEMPTS = 27  # points the orbit-dimension and independence checks may draw
 _WITNESS_BUDGET = 10  # samples per component in the nonvanishing search
 _MUTANT_LIMIT = 8  # size of the negative-control pool
 _MAX_TRIALS = 1 << 20  # the trials of one check's stream slice
@@ -427,15 +427,17 @@ def orbit_dimension(shape: FlagShape, point: Matrix) -> int:
 
 
 def check_orbit_dimension(shape: FlagShape, seed: int, bound: int) -> CheckResult:
-    dims = []
-    for t in range(_RANK_POINTS):
-        rng = Rng(seed, _stream(_S_ORBIT, t))
-        x = sample_group_point(shape, rng, bound)
-        dims.append(orbit_dimension(shape, x))
+    """Generic orbit dimension, certified at the first sampled point whose rank
+    reaches its bound dim U (a rank at a point bounds the generic rank from
+    below); at most ``_RANK_ATTEMPTS`` points are drawn, and the check fails
+    if none reaches it."""
     expected = dim_unipotent_radical(shape)
-    passed = len(set(dims)) == 1 and dims[0] == expected
-    details = {"orbit_dims": dims, "expected": expected}
-    return CheckResult("orbit_dimension", passed, details)
+    dims = []
+    for t in range(_RANK_ATTEMPTS):
+        dims.append(orbit_dimension(shape, sample_group_point(shape, Rng(seed, _stream(_S_ORBIT, t)), bound)))
+        if dims[-1] == expected:
+            break
+    return CheckResult("orbit_dimension", dims[-1] == expected, {"orbit_dims": dims, "expected": expected})
 
 
 def check_count_identity(shape: FlagShape, generic_orbit: int) -> CheckResult:
@@ -668,47 +670,40 @@ def _in_generic_position(shape: FlagShape, x: Matrix) -> bool:
 
 
 def check_independence(shape: FlagShape, seed: int, bound: int) -> CheckResult:
-    """Jacobian tangent ranks at several generic random points.
-
-    General/special linear kinds must reach the full generator count.
-    Orthogonal/symplectic kinds must reach the full J-family rank and the
-    full central-family rank; the combined rank is measured and its
-    corank adjustment reported (the central ratios can collapse into the
-    J-field on a whole component of a disconnected group, which is a
-    component phenomenon rather than a failure).
+    """Jacobian tangent ranks, certified at the first sampled generic point
+    where the J rank reaches its row count and the central-family rank reaches
+    dim G0 (0 of 0 for GL/SL); at most ``_RANK_ATTEMPTS`` points are drawn,
+    non-generic ones skipped, and the check fails if none certifies.  For O/Sp
+    the combined rank there is reported with its corank adjustment (the central
+    ratios can collapse into the J-field on a whole component of a disconnected
+    group, which is a component phenomenon rather than a failure).
     """
     results = []
-    attempt = 0
     skipped = 0
-    while len(results) < _RANK_POINTS and attempt < _RANK_POINTS + 24:
-        rng = Rng(seed, _stream(_S_INDEPENDENCE, attempt))
-        attempt += 1
-        x = sample_group_point(shape, rng, bound)
+    passed = False
+    for attempt in range(_RANK_ATTEMPTS):
+        x = sample_group_point(shape, Rng(seed, _stream(_S_INDEPENDENCE, attempt)), bound)
         if not _in_generic_position(shape, x):
             skipped += 1
             continue
-        results.append(independence_rank(shape, x))
+        r = independence_rank(shape, x)
+        results.append(r)
+        passed = r["j_rank"] == r["j_expected"] and r["gamma0_rank"] == r["gamma0_expected"]
+        if passed:
+            break
     expected = results[0]["expected"] if results else None
-    deficits = sum(1 for r in results if r["rank"] != r["expected"])
     details = {
         "points": len(results),
         "ranks": [r["rank"] for r in results],
         "expected": expected,
-        "deficits": deficits,
         "skipped_nongeneric": skipped,
     }
-    # without a ratio layer the rank is the J rank and Gamma0 is 0 of 0
-    passed = (
-        len(results) == _RANK_POINTS
-        and any(r["j_rank"] == r["j_expected"] for r in results)
-        and any(r["gamma0_rank"] == r["gamma0_expected"] for r in results)
-    )
     if results and shape.kind not in (GroupKind.GL, GroupKind.SL):
         details["j_ranks"] = [r["j_rank"] for r in results]
         details["j_expected"] = results[0]["j_expected"]
         details["gamma0_ranks"] = [r["gamma0_rank"] for r in results]
         details["gamma0_expected"] = results[0]["gamma0_expected"]
-        details["corank_adjustment"] = expected - max(r["rank"] for r in results)
+        details["corank_adjustment"] = expected - results[-1]["rank"]
     return CheckResult("independence_rank", passed, details)
 
 

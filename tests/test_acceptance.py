@@ -117,9 +117,9 @@ def test_criterion_4_independence_ranks():
         result = check_independence(shape, seed=1, bound=10)
         details = result.details
         ok = ok and result.passed
-        ok = ok and details["ranks"] == [expected] * 3 and details["deficits"] == 0
+        ok = ok and details["ranks"] == [expected]
         if shape is SP8:
-            ok = ok and details["gamma0_ranks"] == [3, 3, 3]
+            ok = ok and details["gamma0_ranks"] == [3]
     _report(4, "Jacobian tangent ranks 17/16/22 with central rank 3", ok, time.perf_counter() - start)
 
 

@@ -11,7 +11,7 @@ from parinv.generators_gl import Generator, Recipe, build_generators
 from parinv.generators_osp import build_system, eval_family
 from parinv.linalg import P, Matrix, det
 from parinv.sampling import Rng, anti_identity, sample_group_point, sample_slice, slice_pattern
-from parinv.shapes import index_set, make_shape
+from parinv.shapes import dim_unipotent_radical, index_set, make_shape
 from parinv.verification import (
     check_adjugate_minor_lemma,
     check_bruhat_containment,
@@ -46,6 +46,7 @@ GL5 = make_shape("gl", 5, (1, 2, 2))
 SL5 = make_shape("sl", 5, (1, 2, 2))
 SP4 = make_shape("sp", 4, (1, 2, 1))
 O5 = make_shape("o", 5, (1, 3, 1))
+SP8 = make_shape("sp", 8, (1, 2, 2, 2, 1))
 # the benchmark's ladder shapes: big-entry Jacobians at n = 8 to 12
 LADDER_SHAPES = (("gl", 8, (2, 3, 3)), ("gl", 10, (2, 3, 5)), ("o", 9, (2, 2, 1, 2, 2)), ("sp", 12, (2, 2, 4, 2, 2)))
 
@@ -612,8 +613,79 @@ def test_independence_builds_the_ratio_rows_once_per_point(shape, monkeypatch):
 
     monkeypatch.setattr(verification, "_gradients", spy)
     result = check_independence(shape, seed=1, bound=10)
-    assert result.passed and result.details["points"] == 3
-    assert [call for call in passed if call[0]] == [(len(ratios), None)] * 3
+    assert result.passed and result.details["points"] == 1
+    assert [call for call in passed if call[0]] == [(len(ratios), None)]
+
+
+def _spy_calls(monkeypatch, real, change=lambda k, value: value) -> list:
+    """Record the points that verification passes to real (orbit_dimension or
+    independence_rank); change(k, value) may alter the value of the k-th call
+    (0-based) before the check sees it."""
+    calls = []
+
+    def spy(shape, x):
+        calls.append(x)
+        return change(len(calls) - 1, real(shape, x))
+
+    monkeypatch.setattr(verification, real.__name__, spy)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [GL5, SP8], ids=_label)
+def test_rank_checks_stop_at_the_first_certified_point(shape, monkeypatch):
+    # a rank meeting its upper bound at one point proves the generic rank
+    orbit_calls = _spy_calls(monkeypatch, orbit_dimension)
+    rank_calls = _spy_calls(monkeypatch, independence_rank)
+    orbit = check_orbit_dimension(shape, seed=1, bound=10)
+    independence = check_independence(shape, seed=1, bound=10)
+    assert orbit.passed and len(orbit_calls) == 1
+    assert orbit.details == {"orbit_dims": [dim_unipotent_radical(shape)], "expected": dim_unipotent_radical(shape)}
+    assert independence.passed and len(rank_calls) == 1 and independence.details["points"] == 1
+    assert "deficits" not in independence.details
+
+
+def test_orbit_dimension_draws_until_a_point_reaches_dim_u(monkeypatch):
+    d = dim_unipotent_radical(GL5)
+    calls = _spy_calls(monkeypatch, orbit_dimension, lambda k, value: value - 1 if k == 0 else value)
+    result = check_orbit_dimension(GL5, seed=1, bound=10)
+    assert result.passed and result.details["orbit_dims"] == [d - 1, d] and len(calls) == 2
+    # the second point is the stream's second draw
+    assert calls[1] == sample_group_point(GL5, Rng(1, verification._stream(verification._S_ORBIT, 1)), 10)
+    calls = _spy_calls(monkeypatch, orbit_dimension, lambda k, value: value - 1)
+    result = check_orbit_dimension(GL5, seed=1, bound=10)
+    assert not result.passed and len(calls) == verification._RANK_ATTEMPTS
+    assert result.details["orbit_dims"] == [d - 1] * verification._RANK_ATTEMPTS
+
+
+def _short(k, value, full_j_at, full_gamma0_at):
+    """value with the J rank one short unless k is in full_j_at, and the
+    Gamma0 rank one short unless k is in full_gamma0_at."""
+    value = dict(value)
+    if k not in full_j_at:
+        value["j_rank"] -= 1
+        value["rank"] -= 1
+    if k not in full_gamma0_at:
+        value["gamma0_rank"] -= 1
+        value["rank"] -= 1
+    return value
+
+
+def test_independence_needs_both_ranks_full_at_one_point(monkeypatch):
+    # J full only at the first point and Gamma0 only at the second certifies neither
+    calls = _spy_calls(monkeypatch, independence_rank, lambda k, v: _short(k, v, {0, 2}, {1, 2}))
+    result = check_independence(SP8, seed=1, bound=10)
+    assert result.passed and len(calls) == 3
+    details = result.details
+    assert details["points"] == 3 and details["ranks"] == [21, 21, 22] and details["expected"] == 22
+    assert details["j_ranks"] == [19, 18, 19] and details["gamma0_ranks"] == [2, 3, 3]
+    assert details["corank_adjustment"] == 0
+    # with no point where both are full, every attempt is spent and the check fails
+    calls = _spy_calls(monkeypatch, independence_rank, lambda k, v: _short(k, v, {0}, {1}))
+    result = check_independence(SP8, seed=1, bound=10)
+    details = result.details
+    assert not result.passed
+    assert details["points"] == len(calls) == verification._RANK_ATTEMPTS - details["skipped_nongeneric"]
+    assert details["j_ranks"][:2] == [19, 18] and details["gamma0_ranks"][:2] == [2, 3]
 
 
 def test_gamma0_rows_take_one_determinant_per_minor(monkeypatch):
@@ -659,9 +731,9 @@ def test_run_suite_passes_and_is_byte_deterministic():
 
 
 # sha256 of the canonical reports of the acceptance shapes at seed 1, trials
-# 5 (one line each, newline-terminated), recorded when the monomial
-# restriction and the slice supports became proofs on supports
-PINNED_REPORTS_SHA256 = "3008d93b7b4384a6cdd8de091fb1941457e4f24ada87e9b1d1d2674310f21ed7"
+# 5 (one line each, newline-terminated), recorded when the orbit-dimension and
+# independence checks began to stop at their first certified point
+PINNED_REPORTS_SHA256 = "0639a1f99c13f8b3916bd901aa761682538dddec7b3f46ab4b120ebf55b75fb3"
 
 
 def test_acceptance_reports_are_pinned():
@@ -724,9 +796,9 @@ SWEEP_FAILURES = {
     )
 } | {"o2-1-1 independence_rank"}
 # sha256 of the canonical reports of that sweep, in valid_shapes order (one
-# line each, newline-terminated), recorded when the monomial restriction and
-# the slice supports became proofs on supports
-PINNED_SWEEP_SHA256 = "37fd6fe0852ac863ea6abf2d5b34cced79011cbf41e70a8e315488bcddcf3be0"
+# line each, newline-terminated), recorded when the orbit-dimension and
+# independence checks began to stop at their first certified point
+PINNED_SWEEP_SHA256 = "0556a72a9d998b3e5dd3fba79a181e186f09fe3a50b3041c53d243e0669263d3"
 
 
 def test_sweep_failures_and_reports_are_pinned():
